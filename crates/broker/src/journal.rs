@@ -175,6 +175,24 @@ pub enum JournalRecord {
     },
 }
 
+impl JournalRecord {
+    /// The newest state LSN this record pins down: a snapshot's version,
+    /// an upgrade's last migration op, an op's own LSN. Records that
+    /// carry no state change (commands, clock advances, epoch fences,
+    /// notes, an upgrade without migrations) pin none.
+    pub fn lsn(&self) -> Option<u64> {
+        match self {
+            JournalRecord::Op(op) | JournalRecord::OpCoalesced { op, .. } => Some(op.lsn()),
+            JournalRecord::Upgrade { ops, .. } => ops.last().map(StateOp::lsn),
+            JournalRecord::Snapshot { state, .. } => Some(state.version),
+            JournalRecord::Command { .. }
+            | JournalRecord::Clock { .. }
+            | JournalRecord::Epoch { .. }
+            | JournalRecord::Note { .. } => None,
+        }
+    }
+}
+
 // -- Framing ----------------------------------------------------------------
 
 /// Percent-escapes `%`, space, tab, and newline so a field never breaks
@@ -475,13 +493,8 @@ pub fn prefix_through_lsn(bytes: &[u8], lsn: u64) -> Result<&[u8]> {
         let reached = std::str::from_utf8(body)
             .ok()
             .and_then(|line| parse_line(line).ok())
-            .map_or(0, |rec| match rec {
-                JournalRecord::Op(op) => op.lsn(),
-                JournalRecord::OpCoalesced { op, .. } => op.lsn(),
-                JournalRecord::Upgrade { ops, .. } => ops.last().map_or(0, StateOp::lsn),
-                JournalRecord::Snapshot { state, .. } => state.version,
-                _ => 0,
-            });
+            .and_then(|rec| rec.lsn())
+            .unwrap_or(0);
         if reached >= lsn {
             return Ok(&bytes[..offset]);
         }
@@ -886,13 +899,7 @@ fn scan_lines(bytes: &[u8]) -> Vec<ScannedLine> {
 fn last_lsn_in(lines: &[ScannedLine]) -> u64 {
     lines
         .iter()
-        .filter_map(|l| match &l.rec {
-            Ok(JournalRecord::Op(op)) => Some(op.lsn()),
-            Ok(JournalRecord::OpCoalesced { op, .. }) => Some(op.lsn()),
-            Ok(JournalRecord::Upgrade { ops, .. }) => ops.last().map(StateOp::lsn),
-            Ok(JournalRecord::Snapshot { state, .. }) => Some(state.version),
-            _ => None,
-        })
+        .filter_map(|l| l.rec.as_ref().ok().and_then(JournalRecord::lsn))
         .next_back()
         .unwrap_or(0)
 }

@@ -337,30 +337,43 @@ impl Replicator {
 
     /// Ingests complete journal lines appended since the last tick.
     fn ingest(&mut self, journal_bytes: &[u8]) -> Result<()> {
-        while let Some(nl) = journal_bytes[self.read_offset..]
-            .iter()
-            .position(|&b| b == b'\n')
-        {
-            let end = self.read_offset + nl;
-            let line = std::str::from_utf8(&journal_bytes[self.read_offset..end])
-                .map_err(|e| BrokerError::RecoveryDiverged(format!("journal is not UTF-8: {e}")))?
-                .to_owned();
-            self.read_offset = end + 1;
-            if line.is_empty() {
-                continue;
-            }
-            let lsn = match journal::parse_line(&line)? {
-                JournalRecord::Op(op) => Some(op.lsn()),
-                JournalRecord::OpCoalesced { op, .. } => Some(op.lsn()),
-                JournalRecord::Upgrade { ops, .. } => ops.last().map(|op| op.lsn()),
-                JournalRecord::Snapshot { state, .. } => Some(state.version),
-                _ => None,
-            };
-            self.outbox.push_back((self.next_seq, lsn, line));
+        ingest_lines(journal_bytes, &mut self.read_offset, |line, lsn| {
+            self.outbox.push_back((self.next_seq, lsn, line.to_owned()));
             self.next_seq += 1;
-        }
-        Ok(())
+        })
     }
+}
+
+/// Feeds every complete journal line appended past `*read_offset` to
+/// `push`, with the state LSN it commits, and advances the cursor past
+/// it; blank lines are skipped. A journal shorter than the cursor was
+/// rewritten without going through `truncate_primary` (a dropped-tail
+/// recovery, say), so the shipped history no longer matches its bytes:
+/// that is a typed error, never a panic.
+fn ingest_lines(
+    journal_bytes: &[u8],
+    read_offset: &mut usize,
+    mut push: impl FnMut(&str, Option<u64>),
+) -> Result<()> {
+    let Some(mut fresh) = journal_bytes.get(*read_offset..) else {
+        return Err(BrokerError::RecoveryDiverged(format!(
+            "journal shrank to {} bytes below the {} already ingested: \
+             it was rewritten without truncate_primary",
+            journal_bytes.len(),
+            read_offset
+        )));
+    };
+    while let Some(nl) = fresh.iter().position(|&b| b == b'\n') {
+        let line = std::str::from_utf8(&fresh[..nl])
+            .map_err(|e| BrokerError::RecoveryDiverged(format!("journal is not UTF-8: {e}")))?;
+        fresh = &fresh[nl + 1..];
+        *read_offset += nl + 1;
+        if line.is_empty() {
+            continue;
+        }
+        push(line, journal::parse_line(line)?.lsn());
+    }
+    Ok(())
 }
 
 /// One member of a model-defined replica set: the node it listens on and
@@ -402,9 +415,7 @@ impl ReplicaSetConfig {
         for &r in model.refs(mgr, "replicas") {
             let node = model
                 .attr_str(r, "node")
-                .ok_or_else(|| {
-                    BrokerError::InvalidModel("ReplicaNode needs a node name".into())
-                })?
+                .ok_or_else(|| BrokerError::InvalidModel("ReplicaNode needs a node name".into()))?
                 .to_owned();
             if !seen.insert(node.clone()) {
                 return Err(BrokerError::InvalidModel(format!(
@@ -435,7 +446,11 @@ impl ReplicaSetConfig {
         }
         let total = peers.len() as u64 + 1;
         let declared = model.attr_int(mgr, "quorum").unwrap_or(0).max(0) as u64;
-        let quorum = if declared == 0 { total / 2 + 1 } else { declared };
+        let quorum = if declared == 0 {
+            total / 2 + 1
+        } else {
+            declared
+        };
         if quorum < 1 || quorum > total {
             return Err(BrokerError::InvalidModel(format!(
                 "ReplicaSet quorum {quorum} is outside 1..={total}"
@@ -500,7 +515,9 @@ pub struct QuorumShipReport {
 ///
 /// Unlike [`Replicator`], the outbox keeps the *full* shipped history
 /// (lines are never popped on ack), so a peer that lost its mirror can be
-/// re-shipped from sequence 0 with [`QuorumReplicator::reset_peer`].
+/// re-shipped from sequence 0 with [`QuorumReplicator::reset_peer`]. The
+/// outbox is indexed by sequence number, so a tick costs the lines it
+/// ships plus one step per lane, however long the history grows.
 ///
 /// Health is OCL-addressable through the metrics [`StateManager`]:
 ///
@@ -520,10 +537,10 @@ pub struct QuorumReplicator {
     epoch: u64,
     /// Bytes of the primary journal already ingested into the outbox.
     read_offset: usize,
-    /// Full shipped history: `outbox[seq] = (seq, state LSN, framed
-    /// line)` — indexed by sequence number, never trimmed.
-    outbox: Vec<(u64, Option<u64>, String)>,
-    next_seq: u64,
+    /// Full shipped history: `outbox[seq] = (state LSN, framed line)`
+    /// — indexed by sequence number, so a lane's batch is a range of it
+    /// and shipping borrows each line. Never trimmed.
+    outbox: Vec<(Option<u64>, Box<str>)>,
     /// Newest state LSN the primary's own journal holds.
     head_lsn: u64,
     lanes: Vec<PeerLane>,
@@ -550,7 +567,6 @@ impl QuorumReplicator {
             epoch: 1,
             read_offset: 0,
             outbox: Vec::new(),
-            next_seq: 0,
             head_lsn: 0,
             lanes,
             commit_lsn: 0,
@@ -582,15 +598,18 @@ impl QuorumReplicator {
 
     /// Journal lines enqueued but unacked, summed over every lane.
     pub fn lag(&self) -> u64 {
+        let next_seq = self.outbox.len() as u64;
         self.lanes
             .iter()
-            .map(|l| self.next_seq.saturating_sub(l.acked_seq))
+            .map(|l| next_seq.saturating_sub(l.acked_seq))
             .sum()
     }
 
     /// `true` once *every* peer acknowledged every ingested line.
     pub fn synced(&self) -> bool {
-        self.lanes.iter().all(|l| l.acked_seq >= self.next_seq)
+        self.lanes
+            .iter()
+            .all(|l| l.acked_seq >= self.outbox.len() as u64)
     }
 
     /// `true` once enough peers acknowledged everything that the whole
@@ -599,7 +618,7 @@ impl QuorumReplicator {
         let holders = 1 + self
             .lanes
             .iter()
-            .filter(|l| l.acked_seq >= self.next_seq)
+            .filter(|l| l.acked_seq >= self.outbox.len() as u64)
             .count() as u64;
         holders >= self.cfg.quorum
     }
@@ -689,81 +708,67 @@ impl QuorumReplicator {
         self.ingest(journal_bytes)?;
         let mut report = QuorumShipReport::default();
 
-        for i in 0..self.lanes.len() {
-            let peer_node = self.lanes[i].cfg.node.clone();
-            let Some(standby) = peers.iter_mut().find(|s| s.node() == peer_node) else {
+        let next_seq = self.outbox.len() as u64;
+
+        for lane in &mut self.lanes {
+            let Some(standby) = peers.iter_mut().find(|s| s.node() == lane.cfg.node) else {
                 continue;
             };
-
-            let (from, window_end) = {
-                let lane = &mut self.lanes[i];
-                // Ack timeout: go back to this lane's cumulative cursor.
-                if lane.acked_seq < lane.shipped_high {
-                    if let Some(t) = lane.last_ship {
-                        if now.since(t) >= lane.cfg.ack_timeout {
-                            lane.shipped_high = lane.acked_seq;
-                            lane.retransmit_events += 1;
-                        }
+            // Ack timeout: go back to this lane's cumulative cursor.
+            if lane.acked_seq < lane.shipped_high {
+                if let Some(t) = lane.last_ship {
+                    if now.since(t) >= lane.cfg.ack_timeout {
+                        lane.shipped_high = lane.acked_seq;
+                        lane.retransmit_events += 1;
                     }
                 }
-                let end = match lane.cfg.mode {
-                    ShipMode::Async => self.next_seq,
-                    ShipMode::AckWindowed => lane.acked_seq + lane.cfg.window_records,
-                }
-                .min(self.next_seq);
-                (lane.shipped_high, end)
-            };
+            }
+            let window_end = match lane.cfg.mode {
+                ShipMode::Async => next_seq,
+                ShipMode::AckWindowed => lane.acked_seq + lane.cfg.window_records,
+            }
+            .min(next_seq);
 
-            let batch: Vec<(u64, String)> = self
-                .outbox
-                .iter()
-                .filter(|(seq, _, _)| *seq >= from && *seq < window_end)
-                .map(|(seq, _, line)| (*seq, line.clone()))
-                .collect();
-
-            for (seq, line) in batch {
-                {
-                    let lane = &mut self.lanes[i];
-                    if seq < lane.ever_shipped {
-                        report.retransmitted += 1;
-                    }
-                    lane.shipped_high = seq + 1;
-                    lane.ever_shipped = lane.ever_shipped.max(lane.shipped_high);
-                    lane.last_ship = Some(now);
+            // The batch is a range of the sequence-indexed outbox, each
+            // line borrowed from it.
+            for seq in lane.shipped_high..window_end {
+                if seq < lane.ever_shipped {
+                    report.retransmitted += 1;
                 }
+                lane.shipped_high = seq + 1;
+                lane.ever_shipped = lane.ever_shipped.max(lane.shipped_high);
+                lane.last_ship = Some(now);
                 report.shipped += 1;
-                let SendOutcome::Scheduled(out) = net.transmit(&self.node, &peer_node) else {
+                let SendOutcome::Scheduled(out) = net.transmit(&self.node, &lane.cfg.node) else {
                     // Data leg dropped: the rest of this lane's batch
                     // would arrive as a gap — wait for the ack timeout.
                     break;
                 };
                 report.latency = report.latency.saturating_add(out);
-                match standby.receive(seq, &line, self.epoch) {
+                match standby.receive(seq, &self.outbox[seq as usize].1, self.epoch) {
                     Err(BrokerError::StaleEpoch { .. }) => {
-                        self.lanes[i].fenced_count += 1;
+                        lane.fenced_count += 1;
                         report.fenced += 1;
                         break;
                     }
                     Err(e) => return Err(e),
                     Ok(received) => {
                         if let SendOutcome::Scheduled(back) =
-                            net.transmit(&peer_node, &self.node)
+                            net.transmit(&lane.cfg.node, &self.node)
                         {
                             report.latency = report.latency.saturating_add(back);
                             // A survivor of an earlier primary can re-ack
                             // a cursor past this stream's head; cap it.
-                            let received = received.min(self.next_seq);
-                            let prev = self.lanes[i].acked_seq;
-                            if received > prev {
-                                report.newly_acked += received - prev;
-                                let mut lsn_max = self.lanes[i].acked_lsn;
-                                for s in prev..received {
-                                    if let Some(lsn) = self.outbox[s as usize].1 {
-                                        lsn_max = lsn_max.max(lsn);
+                            let received = received.min(next_seq);
+                            if received > lane.acked_seq {
+                                report.newly_acked += received - lane.acked_seq;
+                                for (lsn, _) in
+                                    &self.outbox[lane.acked_seq as usize..received as usize]
+                                {
+                                    if let Some(lsn) = *lsn {
+                                        lane.acked_lsn = lane.acked_lsn.max(lsn);
                                     }
                                 }
-                                let lane = &mut self.lanes[i];
-                                lane.acked_lsn = lsn_max;
                                 lane.acked_seq = received;
                             }
                         }
@@ -810,32 +815,12 @@ impl QuorumReplicator {
 
     /// Ingests complete journal lines appended since the last tick.
     fn ingest(&mut self, journal_bytes: &[u8]) -> Result<()> {
-        while let Some(nl) = journal_bytes[self.read_offset..]
-            .iter()
-            .position(|&b| b == b'\n')
-        {
-            let end = self.read_offset + nl;
-            let line = std::str::from_utf8(&journal_bytes[self.read_offset..end])
-                .map_err(|e| BrokerError::RecoveryDiverged(format!("journal is not UTF-8: {e}")))?
-                .to_owned();
-            self.read_offset = end + 1;
-            if line.is_empty() {
-                continue;
-            }
-            let lsn = match journal::parse_line(&line)? {
-                JournalRecord::Op(op) => Some(op.lsn()),
-                JournalRecord::OpCoalesced { op, .. } => Some(op.lsn()),
-                JournalRecord::Upgrade { ops, .. } => ops.last().map(|op| op.lsn()),
-                JournalRecord::Snapshot { state, .. } => Some(state.version),
-                _ => None,
-            };
+        ingest_lines(journal_bytes, &mut self.read_offset, |line, lsn| {
             if let Some(lsn) = lsn {
                 self.head_lsn = self.head_lsn.max(lsn);
             }
-            self.outbox.push((self.next_seq, lsn, line));
-            self.next_seq += 1;
-        }
-        Ok(())
+            self.outbox.push((lsn, line.into()));
+        })
     }
 }
 
@@ -903,9 +888,8 @@ impl Standby {
             if body.is_empty() {
                 continue;
             }
-            let line = std::str::from_utf8(body).map_err(|e| {
-                BrokerError::RecoveryDiverged(format!("mirror is not UTF-8: {e}"))
-            })?;
+            let line = std::str::from_utf8(body)
+                .map_err(|e| BrokerError::RecoveryDiverged(format!("mirror is not UTF-8: {e}")))?;
             // Pass the standby's *current* epoch so embedded Epoch
             // records (which raise it) keep the replay admissible.
             let (seq, e) = (sb.received, sb.epoch);
@@ -1005,39 +989,40 @@ impl Standby {
         if seq != self.received {
             return Ok(self.received);
         }
+        let record = journal::parse_line(line)?;
         // The key the record wrote, for the in-stream monitor check below
         // (`None` = nothing watched changed; a snapshot restore can change
         // anything, so it re-checks the full watched set).
-        let mut dirty_key: Option<String> = None;
+        let mut dirty_key: Option<&str> = None;
         let mut dirty_all = false;
-        match journal::parse_line(line)? {
+        match &record {
             JournalRecord::Op(op) => {
-                self.state.apply_op(&op)?;
-                dirty_key = Some(op.key().to_owned());
+                self.state.apply_op(op)?;
+                dirty_key = Some(op.key());
             }
             JournalRecord::OpCoalesced { first_lsn, op } => {
-                self.state.apply_coalesced(first_lsn, &op)?;
-                dirty_key = Some(op.key().to_owned());
+                self.state.apply_coalesced(*first_lsn, op)?;
+                dirty_key = Some(op.key());
             }
             JournalRecord::Command { clock_us, kind, .. } => {
-                self.clock_us = clock_us;
+                self.clock_us = *clock_us;
                 match kind {
                     CommandKind::Call => self.calls += 1,
                     CommandKind::Event => self.events += 1,
                 }
             }
-            JournalRecord::Clock { clock_us } => self.clock_us = clock_us,
-            JournalRecord::Epoch { epoch } => self.epoch = self.epoch.max(epoch),
+            JournalRecord::Clock { clock_us } => self.clock_us = *clock_us,
+            JournalRecord::Epoch { epoch } => self.epoch = self.epoch.max(*epoch),
             JournalRecord::Snapshot {
                 state,
                 clock_us,
                 calls,
                 events,
             } => {
-                self.state.restore(&state);
-                self.clock_us = clock_us;
-                self.calls = calls;
-                self.events = events;
+                self.state.restore(state);
+                self.clock_us = *clock_us;
+                self.calls = *calls;
+                self.events = *events;
                 dirty_all = true;
             }
             JournalRecord::Upgrade { version, ops, .. } => {
@@ -1046,27 +1031,25 @@ impl Standby {
                 // promotion after this point serves the new model. The
                 // migrations may touch any watched key, so the monitor
                 // check below re-scans the full watched set.
-                for op in &ops {
+                for op in ops {
                     self.state.apply_op(op)?;
                 }
-                self.model_version = version;
+                self.model_version = *version;
                 dirty_all = true;
             }
             JournalRecord::Note { .. } => {}
         }
         if let Some(monitors) = &self.monitors {
-            if dirty_key.is_some() || dirty_all {
-                let watched;
-                let dirty: Vec<&str> = match &dirty_key {
-                    Some(k) => vec![k.as_str()],
-                    None => {
-                        watched = monitors.watched_keys();
-                        watched.iter().map(String::as_str).collect()
-                    }
-                };
-                let trips = monitors.check_observed(&self.state, &dirty, &mut self.monitor_memory);
-                self.monitor_trips.extend(trips);
-            }
+            let trips = match dirty_key {
+                Some(key) => monitors.check_observed(&self.state, &[key], &mut self.monitor_memory),
+                None if dirty_all => {
+                    let watched = monitors.watched_keys();
+                    let dirty: Vec<&str> = watched.iter().map(String::as_str).collect();
+                    monitors.check_observed(&self.state, &dirty, &mut self.monitor_memory)
+                }
+                None => Vec::new(),
+            };
+            self.monitor_trips.extend(trips);
         }
         self.bytes.extend_from_slice(line.as_bytes());
         self.bytes.push(b'\n');
@@ -1608,6 +1591,26 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_journal_shorter_than_the_read_cursor_is_refused_not_sliced() {
+        let mut broker = primary();
+        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+        let mut standby = Standby::new("b");
+        let net = net();
+        for _ in 0..3 {
+            broker.call("inc", &args(&[])).unwrap();
+        }
+        drain(&mut rep, &net, &broker, &mut standby, 8);
+        // The journal rewritten behind the replicator's back (a dropped
+        // tail, say) is shorter than what it already ingested.
+        let bytes = broker.journal_bytes().unwrap();
+        let short = &bytes[..bytes.len() / 2];
+        match rep.tick(SimTime::ZERO, broker.epoch(), &net, short, &mut standby) {
+            Err(BrokerError::RecoveryDiverged(m)) => assert!(m.contains("truncate_primary"), "{m}"),
+            other => panic!("expected RecoveryDiverged, got {other:?}"),
+        }
+    }
+
     /// First index at or after `from` whose byte is not a newline — a safe
     /// place to flip a bit without merging journal lines.
     fn non_newline_at(bytes: &[u8], from: usize) -> usize {
@@ -1928,8 +1931,7 @@ mod tests {
         );
         // Every committed LSN is on b byte-for-byte (the safety claim).
         let committed =
-            journal::prefix_through_lsn(broker.journal_bytes().unwrap(), rep.commit_lsn())
-                .unwrap();
+            journal::prefix_through_lsn(broker.journal_bytes().unwrap(), rep.commit_lsn()).unwrap();
         assert!(b.journal_bytes().starts_with(committed));
     }
 
@@ -2003,6 +2005,30 @@ mod tests {
     }
 
     #[test]
+    fn quorum_tick_refuses_a_journal_shorter_than_the_read_cursor() {
+        let m = quorum_model(2, &["b", "c"]);
+        let mut broker = quorum_primary(&m);
+        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
+        let (mut b, mut c) = (Standby::new("b"), Standby::new("c"));
+        let net = net();
+        for _ in 0..3 {
+            broker.call("inc", &args(&[])).unwrap();
+        }
+        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        let bytes = broker.journal_bytes().unwrap();
+        let short = &bytes[..bytes.len() / 2];
+        let peers: &mut [&mut Standby] = &mut [&mut b, &mut c];
+        match rep.tick(SimTime::ZERO, broker.epoch(), &net, short, peers) {
+            Err(BrokerError::RecoveryDiverged(m)) => assert!(m.contains("truncate_primary"), "{m}"),
+            other => panic!("expected RecoveryDiverged, got {other:?}"),
+        }
+        // Nothing was shipped from the bad bytes: the mirrors still match
+        // the real journal.
+        assert_eq!(b.journal_bytes(), bytes);
+        assert_eq!(c.journal_bytes(), bytes);
+    }
+
+    #[test]
     fn one_fenced_lane_does_not_stop_the_others() {
         let m = quorum_model(2, &["b", "c"]);
         let mut broker = quorum_primary(&m);
@@ -2018,7 +2044,13 @@ mod tests {
         }
         let bytes = broker.journal_bytes().unwrap().to_vec();
         let r = rep
-            .tick(SimTime::ZERO, broker.epoch(), &net, &bytes, &mut [&mut b, &mut c])
+            .tick(
+                SimTime::ZERO,
+                broker.epoch(),
+                &net,
+                &bytes,
+                &mut [&mut b, &mut c],
+            )
             .unwrap();
         assert!(r.fenced >= 1, "c must fence the stale primary");
         assert!(b.received() > 0, "b's lane is unaffected");

@@ -52,10 +52,7 @@ fn counter_model(members: &[String], quorum: u64) -> mddsm_meta::Model {
 /// The replica a quorum election would promote: reachable (not crashed,
 /// not partitioned from the set) with the longest applied prefix,
 /// first-wins on ties — the supervisor's rule.
-fn elect<'a>(
-    standbys: &'a BTreeMap<String, Standby>,
-    down: &[String],
-) -> Option<&'a Standby> {
+fn elect<'a>(standbys: &'a BTreeMap<String, Standby>, down: &[String]) -> Option<&'a Standby> {
     standbys
         .values()
         .filter(|s| !down.contains(&s.node().to_string()))
@@ -116,11 +113,9 @@ fn run_schedule(seed: u64, n: usize, quorum: u64, rounds: u64) {
                 down.push(victim);
             }
         }
-        if rng.chance(0.30) {
-            if !down.is_empty() {
-                let i = rng.range(0, down.len() as u64) as usize;
-                down.remove(i);
-            }
+        if rng.chance(0.30) && !down.is_empty() {
+            let i = rng.range(0, down.len() as u64) as usize;
+            down.remove(i);
         }
 
         // A client call, then shipping ticks to the reachable replicas.
@@ -150,11 +145,9 @@ fn run_schedule(seed: u64, n: usize, quorum: u64, rounds: u64) {
         // the quorum commit LSN — must survive byte-identically on the
         // replica an election over the reachable set would pick.
         let commit = rep.commit_lsn();
-        let committed = journal::prefix_through_lsn(
-            broker.journal_bytes().expect("journaling on"),
-            commit,
-        )
-        .expect("commit lsn is inside the primary's journal");
+        let committed =
+            journal::prefix_through_lsn(broker.journal_bytes().expect("journaling on"), commit)
+                .expect("commit lsn is inside the primary's journal");
         let winner = elect(&standbys, &down).expect("a majority is reachable");
         elections += 1;
         assert!(
@@ -201,8 +194,7 @@ fn committed_slices_never_change_under_later_growth() {
     for seed in 0..6u64 {
         let members: Vec<String> = (0..3).map(|i| format!("n{i}")).collect();
         let model = counter_model(&members, 2);
-        let mut broker =
-            GenericBroker::from_model(&model, hub(seed)).expect("model valid");
+        let mut broker = GenericBroker::from_model(&model, hub(seed)).expect("model valid");
         broker.enable_journal(8);
         let mut pinned: Vec<(u64, Vec<u8>)> = Vec::new();
         for round in 0..40u64 {
@@ -228,4 +220,299 @@ fn committed_slices_never_change_under_later_growth() {
         }
         assert!(pinned.len() >= 5);
     }
+}
+
+// ----- the shipping path: cost and byte fidelity -----
+
+/// A primary on `n0` with journaling on, a replicator over `peers` and an
+/// empty standby per peer.
+fn replica_set(
+    seed: u64,
+    peers: Vec<ReplicaPeer>,
+) -> (GenericBroker, QuorumReplicator, BTreeMap<String, Standby>) {
+    let members: Vec<String> = std::iter::once("n0".to_owned())
+        .chain(peers.iter().map(|p| p.node.clone()))
+        .collect();
+    let mut broker =
+        GenericBroker::from_model(&counter_model(&members, 2), hub(seed)).expect("model valid");
+    broker.enable_journal(8);
+    let standbys = peers
+        .iter()
+        .map(|p| (p.node.clone(), Standby::new(&p.node)))
+        .collect();
+    let rep = QuorumReplicator::new(ReplicaSetConfig { quorum: 2, peers }, "n0");
+    (broker, rep, standbys)
+}
+
+fn peer(node: &str, mode: ShipMode, window_records: u64) -> ReplicaPeer {
+    ReplicaPeer {
+        node: node.to_owned(),
+        mode,
+        window_records,
+        ack_timeout: SimDuration::from_micros(ACK_TIMEOUT_US),
+    }
+}
+
+fn bump(broker: &mut GenericBroker, n: u64) {
+    broker
+        .call("bump", &args(&[("n", &n.to_string())]))
+        .expect("serves");
+}
+
+fn tick(
+    rep: &mut QuorumReplicator,
+    now: SimTime,
+    net: &Network,
+    broker: &GenericBroker,
+    standbys: &mut BTreeMap<String, Standby>,
+) -> mddsm_broker::QuorumShipReport {
+    let mut peers: Vec<&mut Standby> = standbys.values_mut().collect();
+    rep.tick(
+        now,
+        broker.epoch(),
+        net,
+        broker.journal_bytes().expect("journaling on"),
+        &mut peers,
+    )
+    .expect("shipping healthy")
+}
+
+/// Journal lines appended past byte `*seen`; advances `*seen` to the end.
+fn new_lines(broker: &GenericBroker, seen: &mut usize) -> u64 {
+    let journal = broker.journal_bytes().expect("journaling on");
+    let n = journal[*seen..].iter().filter(|&&b| b == b'\n').count();
+    *seen = journal.len();
+    n as u64
+}
+
+/// A tick's work is the lines it ships, not the history behind them:
+/// with 10 000 records already synced, a tick over `k` new lines ships
+/// exactly `k` per lane, and an idle tick ships nothing.
+#[test]
+fn a_tick_ships_only_the_new_lines_however_long_the_history() {
+    let (mut broker, mut rep, mut standbys) = replica_set(
+        7,
+        vec![
+            peer("n1", ShipMode::AckWindowed, 32),
+            peer("n2", ShipMode::Async, 32),
+        ],
+    );
+    let net = Network::new(Link::default(), 7);
+    let mut calls = 0u64;
+    let (mut lines, mut seen) = (0u64, 0usize);
+    while lines < 10_000 {
+        bump(&mut broker, calls);
+        calls += 1;
+        lines += new_lines(&broker, &mut seen);
+        if calls.is_multiple_of(4) {
+            tick(&mut rep, SimTime::ZERO, &net, &broker, &mut standbys);
+            assert!(rep.synced(), "a lossless tick under the window syncs");
+        }
+    }
+    tick(&mut rep, SimTime::ZERO, &net, &broker, &mut standbys);
+    assert!(rep.synced());
+
+    for round in 0..20u64 {
+        for i in 0..=round % 3 {
+            bump(&mut broker, calls + i);
+        }
+        calls += round % 3 + 1;
+        let k = new_lines(&broker, &mut seen);
+        let report = tick(&mut rep, SimTime::ZERO, &net, &broker, &mut standbys);
+        assert_eq!(report.shipped, 2 * k, "round {round}: k = {k} per lane");
+        assert_eq!(report.newly_acked, 2 * k);
+        assert_eq!(report.retransmitted, 0);
+        assert!(rep.synced());
+        let idle = tick(&mut rep, SimTime::ZERO, &net, &broker, &mut standbys);
+        assert_eq!(idle.shipped, 0, "nothing new, nothing shipped");
+    }
+    for sb in standbys.values() {
+        assert_eq!(sb.journal_bytes(), broker.journal_bytes().unwrap());
+    }
+}
+
+/// The bytes the replicator has ingested: the primary's journal as
+/// appended, with nothing removed by truncation.
+struct History {
+    bytes: Vec<u8>,
+    /// Length of the primary's journal already copied into `bytes`.
+    seen: usize,
+}
+
+impl History {
+    fn catch_up(&mut self, broker: &GenericBroker) {
+        let journal = broker.journal_bytes().expect("journaling on");
+        self.bytes.extend_from_slice(&journal[self.seen..]);
+        self.seen = journal.len();
+        assert!(
+            self.bytes.ends_with(journal),
+            "the primary's journal is a suffix of its history"
+        );
+    }
+}
+
+/// Seeded schedules over lossy links, mixed lane modes, small windows and
+/// ack timeouts, with peers reset, added and the primary truncated: after
+/// every tick each mirror is a byte-prefix of the shipped history, and
+/// after a lossless drain every mirror is that history, byte for byte.
+#[test]
+fn mirrors_stay_byte_prefixes_of_the_shipped_history() {
+    for seed in 0..16u64 {
+        let mut rng = SimRng::seed_from_u64(0x0541_0000 + seed);
+        let mode = |rng: &mut SimRng| {
+            if rng.chance(0.5) {
+                ShipMode::Async
+            } else {
+                ShipMode::AckWindowed
+            }
+        };
+        let peers = (1..=2)
+            .map(|i| {
+                let m = mode(&mut rng);
+                peer(&format!("n{i}"), m, rng.range(1, 5))
+            })
+            .collect();
+        let (mut broker, mut rep, mut standbys) = replica_set(seed, peers);
+        let loss = Link {
+            loss: 0.05 + 0.25 * rng.unit(),
+            ..Link::default()
+        };
+        let net = Network::new(loss, seed ^ 0x1055);
+        let mut history = History {
+            bytes: Vec::new(),
+            seen: 0,
+        };
+        let mut now = 0u64;
+        let mut truncated = false;
+
+        for round in 0..120u64 {
+            for _ in 0..rng.range(0, 3) {
+                bump(&mut broker, round);
+            }
+            history.catch_up(&broker);
+            // Some ticks come before the ack timeout, some after it.
+            now += rng.range(0, 2 * ACK_TIMEOUT_US);
+            tick(
+                &mut rep,
+                SimTime::from_micros(now),
+                &net,
+                &broker,
+                &mut standbys,
+            );
+            for sb in standbys.values() {
+                assert!(
+                    history.bytes.starts_with(sb.journal_bytes()),
+                    "seed {seed} round {round}: {} mirror ({} bytes) is not a prefix \
+                     of the shipped history ({} bytes)",
+                    sb.node(),
+                    sb.journal_bytes().len(),
+                    history.bytes.len()
+                );
+            }
+
+            if rng.chance(0.04) {
+                // A replica loses its disk: revive it empty, rewind its lane.
+                let node = format!("n{}", rng.range(1, standbys.len() as u64 + 1));
+                standbys.insert(node.clone(), Standby::new(&node));
+                assert!(rep.reset_peer(&node));
+            }
+            if rng.chance(0.03) && standbys.len() < 4 {
+                // A new replica joins from a copy of an existing mirror.
+                let node = format!("n{}", standbys.len() + 1);
+                let source = standbys.values().next().expect("a peer").journal_bytes();
+                let joined =
+                    Standby::from_mirror(&node, source, broker.epoch()).expect("mirror replays");
+                standbys.insert(node.clone(), joined);
+                let m = mode(&mut rng);
+                rep.add_peer(peer(&node, m, rng.range(1, 5)));
+            }
+            // Odd seeds also truncate, so even seeds can compare the
+            // drained mirrors with the primary's journal itself.
+            if seed % 2 == 1 && rng.chance(0.08) {
+                let reclaimed = rep.truncate_primary(&mut broker);
+                history.seen -= reclaimed;
+                truncated |= reclaimed > 0;
+                history.catch_up(&broker);
+            }
+        }
+
+        // Drain over healed links: every mirror converges on the history.
+        for (from, to) in net.link_stats_all().into_iter().map(|(pair, _)| pair) {
+            net.set_link_loss(&from, &to, 0.0);
+        }
+        for _ in 0..400 {
+            if rep.synced() {
+                break;
+            }
+            now += ACK_TIMEOUT_US;
+            tick(
+                &mut rep,
+                SimTime::from_micros(now),
+                &net,
+                &broker,
+                &mut standbys,
+            );
+        }
+        assert!(rep.synced(), "seed {seed}: lossless links drain every lane");
+        assert_eq!(truncated, seed % 2 == 1, "seed {seed}: odd seeds truncate");
+        for sb in standbys.values() {
+            assert_eq!(
+                sb.journal_bytes(),
+                &history.bytes[..],
+                "seed {seed}: {} mirror differs from the shipped history",
+                sb.node()
+            );
+            if seed.is_multiple_of(2) {
+                assert_eq!(sb.journal_bytes(), broker.journal_bytes().unwrap());
+            }
+        }
+    }
+}
+
+/// Truncating the primary leaves the shipped history intact: a replica
+/// rebuilt afterwards is re-shipped the pre-truncation records too, byte
+/// for byte, and recovers the primary's state from them.
+#[test]
+fn reset_peer_after_truncation_reships_the_pre_truncation_history() {
+    let (mut broker, mut rep, mut standbys) = replica_set(
+        3,
+        vec![
+            peer("n1", ShipMode::AckWindowed, 8),
+            peer("n2", ShipMode::AckWindowed, 8),
+        ],
+    );
+    let net = Network::new(Link::default(), 3);
+    let drain = |rep: &mut QuorumReplicator,
+                 broker: &GenericBroker,
+                 standbys: &mut BTreeMap<String, Standby>| {
+        for _ in 0..100 {
+            tick(rep, SimTime::ZERO, &net, broker, standbys);
+            if rep.synced() {
+                return;
+            }
+        }
+        panic!("lossless lanes drain");
+    };
+    for n in 0..30 {
+        bump(&mut broker, n);
+    }
+    drain(&mut rep, &broker, &mut standbys);
+    let before = broker.journal_bytes().unwrap().to_vec();
+    let reclaimed = rep.truncate_primary(&mut broker);
+    assert!(reclaimed > 0, "committed history behind a snapshot is cut");
+    for n in 30..40 {
+        bump(&mut broker, n);
+    }
+    drain(&mut rep, &broker, &mut standbys);
+    let mut history = before.clone();
+    history.extend_from_slice(&broker.journal_bytes().unwrap()[before.len() - reclaimed..]);
+
+    standbys.insert("n2".into(), Standby::new("n2"));
+    assert!(rep.reset_peer("n2"));
+    drain(&mut rep, &broker, &mut standbys);
+    let rebuilt = &standbys["n2"];
+    assert!(rebuilt.journal_bytes().starts_with(&before));
+    assert_eq!(rebuilt.journal_bytes(), &history[..]);
+    assert_eq!(rebuilt.journal_bytes(), standbys["n1"].journal_bytes());
+    assert_eq!(broker.state().first_divergence(rebuilt.state()), None);
 }
