@@ -102,7 +102,9 @@ fn main() {
         report.commands_replayed,
         promoted.state().version()
     );
-    promoted.call("op", &args(&[("n", "6")])).expect("serves on");
+    promoted
+        .call("op", &args(&[("n", "6")]))
+        .expect("serves on");
     println!(
         "new primary serves on: served_alpha={} served_beta={} (no committed update lost)",
         promoted.state().int("served_alpha").unwrap_or(0),
