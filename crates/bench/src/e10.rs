@@ -140,21 +140,6 @@ pub enum Variant {
     Replicated,
 }
 
-/// Ships every not-yet-shipped journal line to the standby observer, in
-/// order. The observer checks each record in-stream as it applies it.
-fn ship(broker: &GenericBroker, standby: &mut Option<Standby>, shipped: &mut usize) {
-    let Some(sb) = standby.as_mut() else {
-        return;
-    };
-    let text = std::str::from_utf8(broker.journal_bytes().expect("journaling on"))
-        .expect("journal is UTF-8");
-    for line in text.lines().skip(*shipped) {
-        sb.receive(*shipped as u64, line, broker.epoch())
-            .expect("shipping is healthy");
-        *shipped += 1;
-    }
-}
-
 /// Routes the campaign's `CorruptState` events out of the fault driver.
 #[derive(Default)]
 struct CorruptionSink(Vec<(String, String)>);
@@ -226,7 +211,6 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         },
     );
     let mut standby: Option<Standby> = None;
-    let mut shipped = 0usize;
     if variant == Variant::Replicated {
         let mut sb = Standby::new("b");
         sb.arm_monitors(MonitorSet::compile(MONITORS).expect("monitors compile"));
@@ -293,7 +277,11 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         // The violating write (and its latch) reaches the wire before the
         // control plane reacts — the standby must detect it from the
         // record stream alone.
-        ship(&broker, &mut standby, &mut shipped);
+        if let Some(sb) = standby.as_mut() {
+            let journal = broker.journal_bytes().expect("journaling on");
+            sb.catch_up(journal, broker.epoch())
+                .expect("shipping is healthy");
+        }
 
         supervisor.heartbeat("a", t);
         if i % SUPERVISE_EVERY == 0 {
@@ -307,8 +295,10 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                     // Ship the rolled-back snapshot, then resume the
                     // observer: its next verdicts start from the repaired
                     // state, like the primary's.
-                    ship(&broker, &mut standby, &mut shipped);
                     if let Some(sb) = standby.as_mut() {
+                        let journal = broker.journal_bytes().expect("journaling on");
+                        sb.catch_up(journal, broker.epoch())
+                            .expect("shipping is healthy");
                         standby_trips += sb.monitor_trips().len() as u64;
                         sb.clear_monitor_trips();
                     }
@@ -331,7 +321,11 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
             Err(e) => panic!("unexpected refusal: {e}"),
         }
         broker.advance_clock(period);
-        ship(&broker, &mut standby, &mut shipped);
+        if let Some(sb) = standby.as_mut() {
+            let journal = broker.journal_bytes().expect("journaling on");
+            sb.catch_up(journal, broker.epoch())
+                .expect("shipping is healthy");
+        }
     }
 
     let journal_bytes = broker.journal_bytes().expect("journaling on");

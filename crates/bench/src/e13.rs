@@ -144,20 +144,6 @@ impl ComponentTarget for StorageSink {
     }
 }
 
-/// Ships every not-yet-shipped journal line to the standby mirror.
-fn ship(broker: &GenericBroker, standby: &mut Option<Standby>, shipped: &mut usize) {
-    let Some(sb) = standby.as_mut() else {
-        return;
-    };
-    let text = std::str::from_utf8(broker.journal_bytes().expect("journaling on"))
-        .expect("journal is UTF-8");
-    for line in text.lines().skip(*shipped) {
-        sb.receive(*shipped as u64, line, broker.epoch())
-            .expect("shipping is healthy");
-        *shipped += 1;
-    }
-}
-
 /// Metrics of one configuration under one campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct E13Run {
@@ -360,7 +346,7 @@ fn apply_storage_fault(
             }
         }
         let (recovered, report, repair) =
-            recover_with_anti_entropy(model, hub, &damaged, INVARIANTS, sb)
+            recover_with_anti_entropy(model, hub, &damaged, INVARIANTS, &[sb])
                 .expect("anti-entropy recovery succeeds");
         if repair.is_some() {
             run.repairs += 1;
@@ -421,9 +407,8 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         },
     );
     let mut standby: Option<Standby> = None;
-    let mut shipped = 0usize;
     if variant == Variant::SelfHealing {
-        supervisor.designate_standby("a", "b");
+        supervisor.designate_replica_set("a", &["b"]);
         standby = Some(Standby::new("b"));
     }
 
@@ -462,9 +447,13 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                 now,
             );
             // A repair replaces the journal with the healed (pristine)
-            // bytes, so the shipped cursor still lines up; recovery notes
-            // appended after it ship like any other record.
-            ship(&broker, &mut standby, &mut shipped);
+            // bytes, so the mirror's received cursor still lines up;
+            // recovery notes appended after it ship like any other record.
+            if let Some(sb) = standby.as_mut() {
+                let journal = broker.journal_bytes().expect("journaling on");
+                sb.catch_up(journal, broker.epoch())
+                    .expect("shipping is healthy");
+            }
         }
 
         supervisor.heartbeat("a", now);
@@ -481,7 +470,11 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         }
         broker.advance_clock(period);
         now = now + period;
-        ship(&broker, &mut standby, &mut shipped);
+        if let Some(sb) = standby.as_mut() {
+            let journal = broker.journal_bytes().expect("journaling on");
+            sb.catch_up(journal, broker.epoch())
+                .expect("shipping is healthy");
+        }
     }
 
     let journal_bytes = broker.journal_bytes().expect("journaling on");

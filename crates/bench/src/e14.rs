@@ -278,18 +278,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Ships every not-yet-shipped journal line to the standby mirror.
-fn ship(broker: &GenericBroker, standby: &mut Standby, shipped: &mut usize) {
-    let text = std::str::from_utf8(broker.journal_bytes().expect("journaling on"))
-        .expect("journal is UTF-8");
-    for line in text.lines().skip(*shipped) {
-        standby
-            .receive(*shipped as u64, line, broker.epoch())
-            .expect("shipping is healthy");
-        *shipped += 1;
-    }
-}
-
 /// The named model-version table built as cutovers assign versions.
 struct VersionTable(Vec<(u64, String, Model)>);
 
@@ -352,7 +340,6 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         },
     );
     let mut standby = Standby::new("b");
-    let mut shipped = 0usize;
 
     let horizon = SimDuration::from_millis(calls * period_ms);
     let campaign = random_upgrade_campaign(
@@ -461,7 +448,10 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                         // No monitor watches the poisoned key under the
                         // current model: silent corruption. Still ship the
                         // journaled write so the mirror stays a prefix.
-                        ship(&broker, &mut standby, &mut shipped);
+                        let journal = broker.journal_bytes().expect("journaling on");
+                        standby
+                            .catch_up(journal, broker.epoch())
+                            .expect("shipping is healthy");
                         continue;
                     }
                     run.monitor_trips += trips.len() as u64;
@@ -532,7 +522,10 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                     }
                 }
             }
-            ship(&broker, &mut standby, &mut shipped);
+            let journal = broker.journal_bytes().expect("journaling on");
+            standby
+                .catch_up(journal, broker.epoch())
+                .expect("shipping is healthy");
         }
 
         supervisor.heartbeat("a", now);
@@ -638,7 +631,10 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
 
         broker.advance_clock(period);
         now = now + period;
-        ship(&broker, &mut standby, &mut shipped);
+        let journal = broker.journal_bytes().expect("journaling on");
+        standby
+            .catch_up(journal, broker.epoch())
+            .expect("shipping is healthy");
     }
 
     // An upgrade still in flight at the horizon: a shadow phase leaves no

@@ -41,7 +41,7 @@ use mddsm_broker::journal::{self, JournalRecord};
 use mddsm_broker::monitor;
 use mddsm_broker::replication::reconcile;
 use mddsm_broker::{
-    BrokerModelBuilder, GenericBroker, ReplicationConfig, Replicator, RestartPolicy, Standby,
+    BrokerModelBuilder, GenericBroker, QuorumReplicator, ReplicaSetConfig, RestartPolicy, Standby,
     Supervisor, SupervisorDecision,
 };
 use mddsm_meta::Model;
@@ -94,9 +94,11 @@ fn hub(seed: u64) -> ResourceHub {
 
 /// The E9 broker model: the E7 tier flip-flop (routing depends on
 /// journaled state, so losing the journal visibly diverges the command
-/// trace), plus — for the replicated configurations — a
-/// `ReplicationManager` declaring the standby and the shipping mode.
-pub fn e9_broker_model(mode: Option<&str>) -> Model {
+/// trace), plus — for the replicated configurations — a one-peer
+/// `ReplicaSet` declaring the standby `b` and its lane's shipping mode:
+/// quorum 1 for async shipping (the primary's own copy commits), quorum
+/// 2 for ack-windowed shipping (the standby must hold it too).
+pub fn e9_broker_model(variant: Variant) -> Model {
     let b = BrokerModelBuilder::new("e9")
         .call_handler("h", "op")
         .policy("tierAlpha", "self.tier = null or self.tier = \"alpha\"")
@@ -118,12 +120,13 @@ pub fn e9_broker_model(mode: Option<&str>) -> Model {
             None,
             &["tier=alpha", "served_beta=+1"],
         );
-    match mode {
-        Some(m) => b
-            .replication("b", m, WINDOW_RECORDS, ACK_TIMEOUT_US, 64)
-            .build(),
-        None => b.build(),
-    }
+    let (quorum, mode) = match variant {
+        Variant::NoReplica => return b.build(),
+        Variant::AsyncShip => (1, "Async"),
+        Variant::AckWindowed => (2, "AckWindowed"),
+    };
+    b.replica_set(quorum, &[("b", mode, WINDOW_RECORDS, ACK_TIMEOUT_US)])
+        .build()
 }
 
 /// How a configuration replicates (or does not).
@@ -206,9 +209,10 @@ fn other(node: &str) -> &'static str {
     }
 }
 
-fn cfg_to(base: &ReplicationConfig, standby_node: &str) -> ReplicationConfig {
+/// The model's one-peer replica set, re-pointed at `standby_node`.
+fn cfg_to(base: &ReplicaSetConfig, standby_node: &str) -> ReplicaSetConfig {
     let mut c = base.clone();
-    c.standby_node = standby_node.to_owned();
+    c.peers[0].node = standby_node.to_owned();
     c
 }
 
@@ -216,7 +220,7 @@ fn cfg_to(base: &ReplicationConfig, standby_node: &str) -> ReplicationConfig {
 /// elapse; rounds are spaced one ack timeout apart so each retries what
 /// the previous one lost. Returns whether the replica is caught up.
 fn drain(
-    rep: &mut Replicator,
+    rep: &mut QuorumReplicator,
     standby: &mut Standby,
     broker: &GenericBroker,
     net: &Network,
@@ -230,7 +234,7 @@ fn drain(
             broker.epoch(),
             net,
             broker.journal_bytes().expect("journaling on"),
-            standby,
+            &mut [standby],
         )
         .expect("replication tick is healthy");
         if rep.synced() {
@@ -249,14 +253,9 @@ fn applied_updates(broker: &GenericBroker) -> u64 {
 
 /// Runs one configuration over the campaign generated by `seed`.
 pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E9Run {
-    let mode = match variant {
-        Variant::NoReplica => None,
-        Variant::AsyncShip => Some("Async"),
-        Variant::AckWindowed => Some("AckWindowed"),
-    };
-    let model = e9_broker_model(mode);
-    let replicated = mode.is_some();
-    let base_cfg = ReplicationConfig::from_model(&model).expect("replication manager conforms");
+    let model = e9_broker_model(variant);
+    let replicated = variant != Variant::NoReplica;
+    let base_cfg = ReplicaSetConfig::from_model(&model).expect("replica set conforms");
 
     let mut broker = GenericBroker::from_model(&model, hub(seed)).expect("E9 model valid");
     broker.enable_journal(SNAPSHOT_EVERY);
@@ -276,14 +275,12 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
         },
     );
     let mut standby: Option<Standby> = None;
-    let mut rep: Option<Replicator> = None;
+    let mut rep: Option<QuorumReplicator> = None;
     if replicated {
-        let cfg = base_cfg
-            .clone()
-            .expect("replicated model declares a manager");
-        supervisor.designate_standby("a", "b");
+        let cfg = base_cfg.clone().expect("replicated model declares a set");
+        supervisor.designate_replica_set("a", &["b"]);
         standby = Some(Standby::new("b"));
-        rep = Some(Replicator::new(cfg, "a"));
+        rep = Some(QuorumReplicator::new(cfg, "a"));
     }
 
     let net = Network::new(Link::default(), seed ^ 0x5eed);
@@ -331,7 +328,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
     let mut fault_at: Option<u64> = None;
     // A partitioned-out old primary (with its replicator and the promoted
     // standby shell that now acts as its fence), parked until the heal.
-    let mut parked: Option<(GenericBroker, Replicator, Standby)> = None;
+    let mut parked: Option<(GenericBroker, QuorumReplicator, Standby)> = None;
 
     for i in 0..calls {
         let t = broker.now();
@@ -469,7 +466,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                 if let Some(r) = rep.take() {
                     retrans_retired += r.retransmits();
                 }
-                rep = Some(Replicator::new(
+                rep = Some(QuorumReplicator::new(
                     cfg_to(base_cfg.as_ref().expect("replicated"), &sb_node),
                     &primary_node,
                 ));
@@ -490,9 +487,15 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                             .expect("journaling on")
                             .to_vec();
                         let r = stale_rep
-                            .tick(t, stale_broker.epoch(), &net, &stale_bytes, &mut fence)
+                            .tick(
+                                t,
+                                stale_broker.epoch(),
+                                &net,
+                                &stale_bytes,
+                                &mut [&mut fence],
+                            )
                             .expect("stale tick is healthy");
-                        if r.fenced.is_some() {
+                        if r.fenced > 0 {
                             fenced_events += 1;
                         }
                         retrans_retired += stale_rep.retransmits();
@@ -511,11 +514,11 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                     }
                 }
                 supervisor.rejoin("a", t);
-                supervisor.designate_standby(&primary_node, "a");
+                supervisor.designate_replica_set(&primary_node, &["a"]);
                 let mut nsb = Standby::new("a");
                 nsb.fence(supervisor.epoch());
                 standby = Some(nsb);
-                rep = Some(Replicator::new(
+                rep = Some(QuorumReplicator::new(
                     cfg_to(base_cfg.as_ref().expect("replicated"), "a"),
                     &primary_node,
                 ));
@@ -582,7 +585,7 @@ pub fn run_variant(seed: u64, calls: u64, period_ms: u64, variant: Variant) -> E
                         broker.epoch(),
                         &net,
                         broker.journal_bytes().expect("journaling on"),
-                        s,
+                        &mut [s],
                     )
                     .expect("replication tick is healthy");
                 }

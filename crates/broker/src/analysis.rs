@@ -501,18 +501,6 @@ pub fn analyze(model: &Model) -> AnalysisReport {
         note_key(&mut keys, "brownout_mode".into(), KeyType::Str);
         note_key(&mut keys, "brownout_level".into(), KeyType::Int);
     }
-    if !model.all_of_class("ReplicationManager").is_empty() {
-        for k in [
-            "repl_lag",
-            "repl_acked_lsn",
-            "repl_epoch",
-            "repl_retransmits",
-            "repl_fenced",
-            "repl_lag_alert",
-        ] {
-            note_key(&mut keys, k.into(), KeyType::Int);
-        }
-    }
     if !model.all_of_class("ReplicaSet").is_empty() {
         for k in [
             "repl_commit_lsn",

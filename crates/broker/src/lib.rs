@@ -32,8 +32,9 @@
 //!   journal records are produced (primary) or applied (standby), tripping
 //!   *before* a violating command becomes externally visible.
 //! * [`replication`] — replicated models@runtime: the primary ships its
-//!   journal over the simulated network to a hot standby that replays it
-//!   into its own state manager; promotion fences the old primary behind a
+//!   journal over the simulated network to each standby of its replica
+//!   set (one peer for a single hot standby), which replays it into its
+//!   own state manager; promotion fences the old primary behind a
 //!   journaled epoch number, and reconciliation replays the divergent
 //!   journal suffix through the normal recovery path.
 
@@ -68,9 +69,8 @@ pub use journal::{Journal, JournalSink, MemorySink, TornTail};
 pub use model::{broker_metamodel, BrokerModelBuilder, Resilience};
 pub use monitor::{CompiledMonitor, MonitorSet, MonitorTrip};
 pub use replication::{
-    recover_with_anti_entropy, recover_with_quorum, repair_journal, select_repair_source,
-    JournalRepair, QuorumReplicator, QuorumShipReport, ReplicaPeer, ReplicaSetConfig,
-    ReplicationConfig, Replicator, ShipMode, Standby,
+    recover_with_anti_entropy, repair_journal, select_repair_source, JournalRepair,
+    QuorumReplicator, QuorumShipReport, ReplicaPeer, ReplicaSetConfig, ShipMode, Standby,
 };
 pub use state::StateManager;
 pub use supervisor::{RestartPolicy, Supervisor, SupervisorDecision};

@@ -1,25 +1,28 @@
-//! Replicated models@runtime: journal shipping to a hot standby.
+//! Replicated models@runtime: journal shipping to a replica set.
 //!
 //! The primary's write-ahead journal (see [`crate::journal`]) already
 //! captures every runtime-model mutation, so replication is journal
-//! shipping: a [`Replicator`] on the primary streams journal lines over
-//! the simulated [`Network`] to a [`Standby`] on another node, which
-//! applies each record into its own [`StateManager`] *and* keeps a
-//! byte-for-byte mirror of the journal — promotion is then just the
-//! normal crash-recovery path ([`GenericBroker::recover`]) run over the
-//! mirrored bytes.
+//! shipping: a [`QuorumReplicator`] on the primary streams journal lines
+//! over the simulated [`Network`] to one [`Standby`] per peer of the
+//! model's `ReplicaSet`. Each standby applies every record into its own
+//! [`StateManager`] *and* keeps a byte-for-byte mirror of the journal —
+//! promotion is then just the normal crash-recovery path
+//! ([`GenericBroker::recover`]) run over the mirrored bytes. A single hot
+//! standby is a one-peer set: quorum 1 with an `Async` lane, or quorum 2
+//! with an `AckWindowed` lane.
 //!
-//! Shipping is go-back-N with a cumulative ack: the standby acknowledges
-//! the count of contiguous lines received, the primary retransmits from
-//! that cursor after an ack timeout. Two model-declared disciplines
-//! ([`ShipMode`]) share the machinery:
+//! Every peer has its own lane, shipped go-back-N with a cumulative ack:
+//! the standby acknowledges the count of contiguous lines received, the
+//! primary retransmits from that cursor after an ack timeout. Two
+//! model-declared disciplines ([`ShipMode`]) share the machinery:
 //!
 //! * `Async` — ship everything pending each tick, best effort. The
 //!   primary commits locally without waiting, so records not yet
 //!   acknowledged at failover are lost.
 //! * `AckWindowed` — at most `window_records` unacknowledged lines in
-//!   flight; the caller gates commit on [`Replicator::synced`], so a
-//!   committed update is by construction on the standby.
+//!   flight; the caller gates commit on [`QuorumReplicator::synced`] (or
+//!   [`QuorumReplicator::quorum_synced`]), so a committed update is by
+//!   construction on the peers it waited for.
 //!
 //! Split brain is prevented by *epoch fencing*: promotion appends a
 //! journaled epoch record, and the standby (or the promoted primary)
@@ -37,7 +40,7 @@ use mddsm_meta::model::Model;
 use mddsm_sim::net::{Network, SendOutcome};
 use mddsm_sim::resource::ResourceHub;
 use mddsm_sim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Journal-shipping discipline (the `ShipMode` enumeration of the
 /// Fig. 6 metamodel extension).
@@ -47,333 +50,6 @@ pub enum ShipMode {
     Async,
     /// Windowed with retransmission: commit implies replicated.
     AckWindowed,
-}
-
-/// Compiled replication parameters of a broker model's
-/// `ReplicationManager` (all model-defined).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicationConfig {
-    /// Simulated-network node the standby listens on.
-    pub standby_node: String,
-    /// Shipping discipline.
-    pub mode: ShipMode,
-    /// `AckWindowed`: max unacknowledged journal lines in flight.
-    pub window_records: u64,
-    /// Virtual time before an unacked batch is retransmitted.
-    pub ack_timeout: SimDuration,
-    /// Lag at which the standard autonomic rule alerts (0 = off).
-    pub lag_alert_records: u64,
-}
-
-impl ReplicationConfig {
-    /// Compiles the `ReplicationManager` of a broker model; `None` when
-    /// the model declares no replication.
-    pub fn from_model(model: &Model) -> Result<Option<Self>> {
-        let Some(&mgr) = model.all_of_class("ReplicationManager").first() else {
-            return Ok(None);
-        };
-        let standby_node = model
-            .attr_str(mgr, "standby")
-            .ok_or_else(|| {
-                BrokerError::InvalidModel("ReplicationManager needs a standby node".into())
-            })?
-            .to_owned();
-        let mode = match model.attr(mgr, "mode").and_then(|v| v.as_enum_literal()) {
-            Some("Async") => ShipMode::Async,
-            Some("AckWindowed") => ShipMode::AckWindowed,
-            other => {
-                return Err(BrokerError::InvalidModel(format!(
-                    "ReplicationManager has bad mode {other:?}"
-                )))
-            }
-        };
-        let int = |name: &str, default: i64| model.attr_int(mgr, name).unwrap_or(default).max(0);
-        Ok(Some(ReplicationConfig {
-            standby_node,
-            mode,
-            window_records: int("windowRecords", 32) as u64,
-            ack_timeout: SimDuration::from_micros(int("ackTimeoutUs", 10_000) as u64),
-            lag_alert_records: int("lagAlertRecords", 0) as u64,
-        }))
-    }
-}
-
-/// What one [`Replicator::tick`] did.
-#[derive(Debug, Clone, Default)]
-pub struct ShipReport {
-    /// Journal lines attempted on the wire this tick.
-    pub shipped: u64,
-    /// Lines newly covered by the standby's cumulative ack.
-    pub newly_acked: u64,
-    /// Attempts that re-sent a line already shipped before (go-back-N).
-    pub retransmitted: u64,
-    /// Virtual link time both legs consumed (the caller charges it).
-    pub latency: SimDuration,
-    /// Set when the receiver fenced us: we shipped under a stale epoch.
-    pub fenced: Option<BrokerError>,
-}
-
-/// The primary-side shipping engine. Reads new lines from the primary's
-/// journal bytes, keeps the in-flight window, retransmits on ack
-/// timeout, and exposes its health OCL-addressably through a small
-/// (non-journaled) metrics [`StateManager`]:
-///
-/// | key | meaning |
-/// |---|---|
-/// | `repl_lag` | journal lines enqueued but not yet acked |
-/// | `repl_acked_lsn` | newest state LSN known applied on the standby |
-/// | `repl_epoch` | epoch the replicator currently ships under |
-/// | `repl_retransmits` | ack-timeout go-backs so far |
-/// | `repl_fenced` | times a receiver refused us as stale |
-///
-/// [`crate::autonomic::replication_rules`] are written over these keys.
-#[derive(Debug)]
-pub struct Replicator {
-    cfg: ReplicationConfig,
-    node: String,
-    epoch: u64,
-    /// Bytes of the primary journal already ingested into the outbox.
-    read_offset: usize,
-    /// Unacked lines: `(seq, state LSN the line commits, framed line)`.
-    outbox: VecDeque<(u64, Option<u64>, String)>,
-    next_seq: u64,
-    acked_seq: u64,
-    /// Lines below this were attempted since the last go-back.
-    shipped_high: u64,
-    /// High-water mark of every attempt ever (detects retransmissions).
-    ever_shipped: u64,
-    last_ship: Option<SimTime>,
-    acked_lsn: u64,
-    retransmit_events: u64,
-    fenced_count: u64,
-    metrics: StateManager,
-}
-
-impl Replicator {
-    /// Creates a replicator for a primary living on network node `node`.
-    pub fn new(cfg: ReplicationConfig, node: &str) -> Self {
-        let mut metrics = StateManager::new();
-        metrics.set_int("repl_lag", 0);
-        metrics.set_int("repl_acked_lsn", 0);
-        metrics.set_int("repl_epoch", 1);
-        metrics.set_int("repl_retransmits", 0);
-        metrics.set_int("repl_fenced", 0);
-        Replicator {
-            cfg,
-            node: node.to_owned(),
-            epoch: 1,
-            read_offset: 0,
-            outbox: VecDeque::new(),
-            next_seq: 0,
-            acked_seq: 0,
-            shipped_high: 0,
-            ever_shipped: 0,
-            last_ship: None,
-            acked_lsn: 0,
-            retransmit_events: 0,
-            fenced_count: 0,
-            metrics,
-        }
-    }
-
-    /// Compiles the model's `ReplicationManager` and builds the
-    /// replicator; `None` when the model declares no replication.
-    pub fn from_model(model: &Model, node: &str) -> Result<Option<Self>> {
-        Ok(ReplicationConfig::from_model(model)?.map(|cfg| Self::new(cfg, node)))
-    }
-
-    /// The compiled configuration.
-    pub fn config(&self) -> &ReplicationConfig {
-        &self.cfg
-    }
-
-    /// Journal lines enqueued but not yet acknowledged.
-    pub fn lag(&self) -> u64 {
-        self.next_seq - self.acked_seq
-    }
-
-    /// `true` once every ingested journal line is acknowledged.
-    pub fn synced(&self) -> bool {
-        self.lag() == 0
-    }
-
-    /// Newest state LSN known applied on the standby.
-    pub fn acked_lsn(&self) -> u64 {
-        self.acked_lsn
-    }
-
-    /// Ack-timeout go-back events so far.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmit_events
-    }
-
-    /// The OCL-addressable metrics model (see the type docs for keys).
-    pub fn metrics(&self) -> &StateManager {
-        &self.metrics
-    }
-
-    /// Mutable metrics access — the autonomic manager ticks its
-    /// replication rules against this state.
-    pub fn metrics_mut(&mut self) -> &mut StateManager {
-        &mut self.metrics
-    }
-
-    /// One shipping cycle at virtual instant `now`, under fencing epoch
-    /// `epoch` (the primary's [`GenericBroker::epoch`]): ingests new
-    /// journal bytes, goes back to the acked cursor when the ack timeout
-    /// expired, ships the window, and processes synchronous acks.
-    ///
-    /// Corrupt journal lines surface as errors; being *fenced* by the
-    /// receiver is reported in-band ([`ShipReport::fenced`]) because the
-    /// replicator itself is healthy — its primary is just stale.
-    pub fn tick(
-        &mut self,
-        now: SimTime,
-        epoch: u64,
-        net: &Network,
-        journal_bytes: &[u8],
-        standby: &mut Standby,
-    ) -> Result<ShipReport> {
-        self.epoch = epoch;
-        self.ingest(journal_bytes)?;
-        let mut report = ShipReport::default();
-
-        // Ack timeout: go back to the cumulative-ack cursor.
-        if self.acked_seq < self.shipped_high {
-            if let Some(t) = self.last_ship {
-                if now.since(t) >= self.cfg.ack_timeout {
-                    self.shipped_high = self.acked_seq;
-                    self.retransmit_events += 1;
-                    self.metrics
-                        .set_int("repl_retransmits", self.retransmit_events as i64);
-                }
-            }
-        }
-
-        let window_end = match self.cfg.mode {
-            ShipMode::Async => self.next_seq,
-            ShipMode::AckWindowed => self.acked_seq + self.cfg.window_records,
-        }
-        .min(self.next_seq);
-
-        let batch: Vec<(u64, String)> = self
-            .outbox
-            .iter()
-            .filter(|(seq, _, _)| *seq >= self.shipped_high && *seq < window_end)
-            .map(|(seq, _, line)| (*seq, line.clone()))
-            .collect();
-
-        for (seq, line) in batch {
-            if seq < self.ever_shipped {
-                report.retransmitted += 1;
-            }
-            self.shipped_high = seq + 1;
-            self.ever_shipped = self.ever_shipped.max(self.shipped_high);
-            self.last_ship = Some(now);
-            report.shipped += 1;
-            let SendOutcome::Scheduled(out) = net.transmit(&self.node, &self.cfg.standby_node)
-            else {
-                // Data leg dropped: the rest of the batch would arrive as
-                // a gap and be refused anyway — wait for the ack timeout.
-                break;
-            };
-            report.latency = report.latency.saturating_add(out);
-            match standby.receive(seq, &line, self.epoch) {
-                Err(e @ BrokerError::StaleEpoch { .. }) => {
-                    self.fenced_count += 1;
-                    self.metrics
-                        .set_int("repl_fenced", self.fenced_count as i64);
-                    report.fenced = Some(e);
-                    break;
-                }
-                Err(e) => return Err(e),
-                Ok(received) => {
-                    // Ack leg: the cumulative ack only counts when it
-                    // makes it back.
-                    if let SendOutcome::Scheduled(back) =
-                        net.transmit(&self.cfg.standby_node, &self.node)
-                    {
-                        report.latency = report.latency.saturating_add(back);
-                        if received > self.acked_seq {
-                            report.newly_acked += received - self.acked_seq;
-                            self.advance_ack(received);
-                        }
-                    }
-                }
-            }
-        }
-
-        self.metrics.set_int("repl_lag", self.lag() as i64);
-        self.metrics
-            .set_int("repl_acked_lsn", self.acked_lsn as i64);
-        self.metrics.set_int("repl_epoch", self.epoch as i64);
-        Ok(report)
-    }
-
-    /// Drops journal history the standby has acknowledged:
-    /// [`GenericBroker::truncate_journal_to`] at the acked LSN, with the
-    /// replicator's read cursor shifted to match the rewritten bytes.
-    /// Returns the bytes reclaimed.
-    pub fn truncate_primary(&mut self, broker: &mut GenericBroker) -> usize {
-        let reclaimed = broker.truncate_journal_to(self.acked_lsn);
-        // The cut prefix was fully ingested (it is acked), so the cursor
-        // shifts left by exactly the reclaimed byte count.
-        self.read_offset = self.read_offset.saturating_sub(reclaimed);
-        reclaimed
-    }
-
-    fn advance_ack(&mut self, received: u64) {
-        while let Some((seq, lsn, _)) = self.outbox.front() {
-            if *seq >= received {
-                break;
-            }
-            if let Some(lsn) = lsn {
-                self.acked_lsn = self.acked_lsn.max(*lsn);
-            }
-            self.outbox.pop_front();
-        }
-        self.acked_seq = received;
-    }
-
-    /// Ingests complete journal lines appended since the last tick.
-    fn ingest(&mut self, journal_bytes: &[u8]) -> Result<()> {
-        ingest_lines(journal_bytes, &mut self.read_offset, |line, lsn| {
-            self.outbox.push_back((self.next_seq, lsn, line.to_owned()));
-            self.next_seq += 1;
-        })
-    }
-}
-
-/// Feeds every complete journal line appended past `*read_offset` to
-/// `push`, with the state LSN it commits, and advances the cursor past
-/// it; blank lines are skipped. A journal shorter than the cursor was
-/// rewritten without going through `truncate_primary` (a dropped-tail
-/// recovery, say), so the shipped history no longer matches its bytes:
-/// that is a typed error, never a panic.
-fn ingest_lines(
-    journal_bytes: &[u8],
-    read_offset: &mut usize,
-    mut push: impl FnMut(&str, Option<u64>),
-) -> Result<()> {
-    let Some(mut fresh) = journal_bytes.get(*read_offset..) else {
-        return Err(BrokerError::RecoveryDiverged(format!(
-            "journal shrank to {} bytes below the {} already ingested: \
-             it was rewritten without truncate_primary",
-            journal_bytes.len(),
-            read_offset
-        )));
-    };
-    while let Some(nl) = fresh.iter().position(|&b| b == b'\n') {
-        let line = std::str::from_utf8(&fresh[..nl])
-            .map_err(|e| BrokerError::RecoveryDiverged(format!("journal is not UTF-8: {e}")))?;
-        fresh = &fresh[nl + 1..];
-        *read_offset += nl + 1;
-        if line.is_empty() {
-            continue;
-        }
-        push(line, journal::parse_line(line)?.lsn());
-    }
-    Ok(())
 }
 
 /// One member of a model-defined replica set: the node it listens on and
@@ -513,11 +189,13 @@ pub struct QuorumShipReport {
 /// record at or below the commit LSN is held by at least `quorum` nodes,
 /// so it survives any minority failure.
 ///
-/// Unlike [`Replicator`], the outbox keeps the *full* shipped history
-/// (lines are never popped on ack), so a peer that lost its mirror can be
-/// re-shipped from sequence 0 with [`QuorumReplicator::reset_peer`]. The
-/// outbox is indexed by sequence number, so a tick costs the lines it
-/// ships plus one step per lane, however long the history grows.
+/// A single hot standby is a one-peer set (quorum 1 for an `Async` lane,
+/// 2 for an `AckWindowed` one). The outbox keeps the *full* shipped
+/// history (lines are never popped on ack), so a peer that lost its
+/// mirror can be re-shipped from sequence 0 with
+/// [`QuorumReplicator::reset_peer`]. The outbox is indexed by sequence
+/// number, so a tick costs the lines it ships plus one step per lane,
+/// however long the history grows.
 ///
 /// Health is OCL-addressable through the metrics [`StateManager`]:
 ///
@@ -730,8 +408,11 @@ impl QuorumReplicator {
             .min(next_seq);
 
             // The batch is a range of the sequence-indexed outbox, each
-            // line borrowed from it.
-            for seq in lane.shipped_high..window_end {
+            // line borrowed from it. It starts past the acked cursor too:
+            // a re-ack (a rejoined mirror, a go-back whose acks were
+            // lost) can move that beyond `shipped_high`, and the peer
+            // already holds every line below it.
+            for seq in lane.shipped_high.max(lane.acked_seq)..window_end {
                 if seq < lane.ever_shipped {
                     report.retransmitted += 1;
                 }
@@ -813,14 +494,36 @@ impl QuorumReplicator {
         }
     }
 
-    /// Ingests complete journal lines appended since the last tick.
+    /// Ingests every complete journal line appended past the read
+    /// cursor, with the state LSN it commits; blank lines are skipped. A
+    /// journal shorter than the cursor was rewritten without going through
+    /// `truncate_primary` (a dropped-tail recovery, say), so the shipped
+    /// history no longer matches its bytes: that is a typed error, never a
+    /// panic.
     fn ingest(&mut self, journal_bytes: &[u8]) -> Result<()> {
-        ingest_lines(journal_bytes, &mut self.read_offset, |line, lsn| {
+        let Some(mut fresh) = journal_bytes.get(self.read_offset..) else {
+            return Err(BrokerError::RecoveryDiverged(format!(
+                "journal shrank to {} bytes below the {} already ingested: \
+                 it was rewritten without truncate_primary",
+                journal_bytes.len(),
+                self.read_offset
+            )));
+        };
+        while let Some(nl) = fresh.iter().position(|&b| b == b'\n') {
+            let line = std::str::from_utf8(&fresh[..nl])
+                .map_err(|e| BrokerError::RecoveryDiverged(format!("journal is not UTF-8: {e}")))?;
+            fresh = &fresh[nl + 1..];
+            self.read_offset += nl + 1;
+            if line.is_empty() {
+                continue;
+            }
+            let lsn = journal::parse_line(line)?.lsn();
             if let Some(lsn) = lsn {
                 self.head_lsn = self.head_lsn.max(lsn);
             }
             self.outbox.push((lsn, line.into()));
-        })
+        }
+        Ok(())
     }
 }
 
@@ -1057,6 +760,19 @@ impl Standby {
         Ok(self.received)
     }
 
+    /// In-process shipping without a network or replicator: receives,
+    /// in order and under fencing epoch `epoch`, every line of the
+    /// primary's `journal_bytes` past [`Standby::received`]. Returns the
+    /// cumulative ack.
+    pub fn catch_up(&mut self, journal_bytes: &[u8], epoch: u64) -> Result<u64> {
+        let text = std::str::from_utf8(journal_bytes)
+            .map_err(|e| BrokerError::RecoveryDiverged(format!("journal is not UTF-8: {e}")))?;
+        for line in text.lines().skip(self.received as usize) {
+            self.receive(self.received, line, epoch)?;
+        }
+        Ok(self.received)
+    }
+
     /// Promotes the standby to primary under fencing epoch `epoch`: runs
     /// the ordinary recovery path over the journal mirror, then journals
     /// the epoch fence on the new primary so stale-epoch refusal survives
@@ -1210,15 +926,41 @@ pub fn repair_journal(local: &[u8], standby: &Standby) -> Result<(Vec<u8>, Journ
     Ok((healed, report))
 }
 
-/// Recovery with the anti-entropy fallback: ordinary
-/// [`GenericBroker::recover`] when the journal is clean or merely torn
-/// *and* the standby holds nothing beyond it; otherwise the journal is
-/// first healed from the mirror with [`repair_journal`] and recovery runs
-/// over the healed bytes. Repair triggers on:
+/// Picks the freshest anti-entropy source from a replica set: the
+/// standby with the largest applied LSN, ties broken by the longest
+/// mirror (most lines received), then by slice order — deterministic, so
+/// every node polls the same schedule to the same answer. `None` for an
+/// empty candidate slice.
+pub fn select_repair_source<'a>(candidates: &[&'a Standby]) -> Option<&'a Standby> {
+    let mut best: Option<&'a Standby> = None;
+    for &c in candidates {
+        let better = match best {
+            None => true,
+            Some(b) => {
+                c.applied_lsn() > b.applied_lsn()
+                    || (c.applied_lsn() == b.applied_lsn() && c.received() > b.received())
+            }
+        };
+        if better {
+            best = Some(c);
+        }
+    }
+    best
+}
+
+/// Recovery with the anti-entropy fallback. The freshest of the reachable
+/// `peers` ([`select_repair_source`]) is the repair source; with none in
+/// reach this is the typed [`BrokerError::RecoveryDiverged`], and the
+/// caller falls back to plain recovery or quarantine. Recovery is the
+/// ordinary [`GenericBroker::recover`] when the journal is clean or
+/// merely torn *and* the source holds nothing beyond it; otherwise the
+/// journal is first healed from the source's mirror with
+/// [`repair_journal`] and recovery runs over the healed bytes. Repair
+/// triggers on:
 ///
 /// * interior [`BrokerError::JournalDamaged`] — bit-rot the mirror can
 ///   replace;
-/// * a torn tail that cut below what the standby already applied
+/// * a torn tail that cut below what the source already applied
 ///   (acknowledged records must never be lost);
 /// * a mirror that extends past the local journal's intact prefix — a
 ///   *clean* tail loss (unsynced writes dropped by a power cut) leaves no
@@ -1232,8 +974,13 @@ pub fn recover_with_anti_entropy(
     hub: ResourceHub,
     journal_bytes: &[u8],
     invariants: &[&str],
-    standby: &Standby,
+    peers: &[&Standby],
 ) -> Result<(GenericBroker, RecoveryReport, Option<JournalRepair>)> {
+    let standby = select_repair_source(peers).ok_or_else(|| {
+        BrokerError::RecoveryDiverged(
+            "anti-entropy recovery needs at least one reachable replica mirror".to_owned(),
+        )
+    })?;
     let mirror = standby.journal_bytes();
     let needs_repair = match journal::replay(journal_bytes) {
         Err(BrokerError::JournalDamaged { .. }) => true,
@@ -1263,48 +1010,6 @@ pub fn recover_with_anti_entropy(
     Ok((broker, report, Some(repair)))
 }
 
-/// Picks the freshest anti-entropy source from a replica set: the
-/// standby with the largest applied LSN, ties broken by the longest
-/// mirror (most lines received), then by slice order — deterministic, so
-/// every node polls the same schedule to the same answer. `None` for an
-/// empty candidate slice.
-pub fn select_repair_source<'a>(candidates: &[&'a Standby]) -> Option<&'a Standby> {
-    let mut best: Option<&'a Standby> = None;
-    for &c in candidates {
-        let better = match best {
-            None => true,
-            Some(b) => {
-                c.applied_lsn() > b.applied_lsn()
-                    || (c.applied_lsn() == b.applied_lsn() && c.received() > b.received())
-            }
-        };
-        if better {
-            best = Some(c);
-        }
-    }
-    best
-}
-
-/// [`recover_with_anti_entropy`] generalized to a replica set: the
-/// freshest reachable peer ([`select_repair_source`]) serves as the
-/// repair source instead of "the standby". Errs when `peers` is empty —
-/// with no mirror in reach, the caller falls back to plain recovery or
-/// quarantine.
-pub fn recover_with_quorum(
-    model: &Model,
-    hub: ResourceHub,
-    journal_bytes: &[u8],
-    invariants: &[&str],
-    peers: &[&Standby],
-) -> Result<(GenericBroker, RecoveryReport, Option<JournalRepair>)> {
-    let source = select_repair_source(peers).ok_or_else(|| {
-        BrokerError::RecoveryDiverged(
-            "quorum recovery needs at least one reachable replica mirror".to_owned(),
-        )
-    })?;
-    recover_with_anti_entropy(model, hub, journal_bytes, invariants, source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1313,6 +1018,8 @@ mod tests {
     use mddsm_sim::resource::{args, Outcome};
 
     const SNAPSHOT_EVERY: u64 = 8;
+    /// Ack timeout of every test lane (µs); drain rounds are this apart.
+    const ACK_TIMEOUT_US: u64 = 5_000;
 
     fn hub() -> ResourceHub {
         let mut h = ResourceHub::new(7);
@@ -1320,84 +1027,69 @@ mod tests {
         h
     }
 
-    fn model() -> Model {
-        BrokerModelBuilder::new("rep")
+    /// A counter broker replicated to `peers`, each over an
+    /// `AckWindowed` lane with a window of 4.
+    fn quorum_model(quorum: u64, peers: &[&str]) -> Model {
+        let lanes: Vec<(&str, &str, u64, u64)> = peers
+            .iter()
+            .map(|n| (*n, "AckWindowed", 4, ACK_TIMEOUT_US))
+            .collect();
+        BrokerModelBuilder::new("qrep")
             .call_handler("inc", "inc")
             .action("inc", "doInc", "ctr", "inc", &[], None, &["count=+1"])
             .bind_resource("ctr", "sim.ctr")
-            .replication("b", "AckWindowed", 4, 5_000, 8)
+            .replica_set(quorum, &lanes)
             .build()
+    }
+
+    /// A single hot standby on `b`: a one-peer set, quorum 2.
+    fn model() -> Model {
+        quorum_model(2, &["b"])
     }
 
     fn net() -> Network {
         Network::new(Link::default(), 99)
     }
 
-    fn primary() -> GenericBroker {
-        let mut b = GenericBroker::from_model(&model(), hub()).unwrap();
+    fn primary(m: &Model) -> GenericBroker {
+        let mut b = GenericBroker::from_model(m, hub()).unwrap();
         b.enable_journal(SNAPSHOT_EVERY);
         b
     }
 
-    /// Ships until synced or `rounds` timeouts elapse; returns the tick
-    /// count used.
-    fn drain(
-        rep: &mut Replicator,
-        net: &Network,
-        broker: &GenericBroker,
-        standby: &mut Standby,
-        rounds: u32,
-    ) -> u32 {
-        let step = rep.config().ack_timeout;
-        let mut now = SimTime::ZERO;
-        for tick in 0..rounds {
-            let bytes = broker.journal_bytes().unwrap();
-            rep.tick(now, broker.epoch(), net, bytes, standby).unwrap();
-            if rep.synced() {
-                return tick + 1;
-            }
-            now = now + step;
-        }
-        rounds
+    fn replicator(m: &Model) -> QuorumReplicator {
+        QuorumReplicator::from_model(m, "a").unwrap().unwrap()
     }
 
-    #[test]
-    fn config_compiles_from_the_model() {
-        assert!(
-            ReplicationConfig::from_model(&BrokerModelBuilder::new("p").build())
-                .unwrap()
-                .is_none()
-        );
-        let cfg = ReplicationConfig::from_model(&model()).unwrap().unwrap();
-        assert_eq!(
-            cfg,
-            ReplicationConfig {
-                standby_node: "b".into(),
-                mode: ShipMode::AckWindowed,
-                window_records: 4,
-                ack_timeout: SimDuration::from_micros(5_000),
-                lag_alert_records: 8,
+    /// Ships until every peer is synced or `rounds` ack timeouts elapse.
+    fn drain(
+        rep: &mut QuorumReplicator,
+        net: &Network,
+        broker: &GenericBroker,
+        peers: &mut [&mut Standby],
+        rounds: u32,
+    ) {
+        let mut now = SimTime::ZERO;
+        for _ in 0..rounds {
+            let bytes = broker.journal_bytes().unwrap();
+            rep.tick(now, broker.epoch(), net, bytes, peers).unwrap();
+            if rep.synced() {
+                return;
             }
-        );
-        // A ReplicationManager without a standby node is an invalid model.
-        let mut broken = Model::new(crate::model::BROKER_METAMODEL);
-        broken.create("ReplicationManager");
-        match ReplicationConfig::from_model(&broken) {
-            Err(BrokerError::InvalidModel(m)) => assert!(m.contains("standby"), "{m}"),
-            other => panic!("expected InvalidModel, got {other:?}"),
+            now = now + SimDuration::from_micros(ACK_TIMEOUT_US);
         }
     }
 
     #[test]
     fn journal_ships_and_the_standby_tracks_the_primary() {
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+        let mut broker = primary(&model());
+        let mut rep = replicator(&model());
         let mut standby = Standby::new("b");
         let net = net();
 
         for _ in 0..10 {
             broker.call("inc", &args(&[])).unwrap();
-            drain(&mut rep, &net, &broker, &mut standby, 4);
+            drain(&mut rep, &net, &broker, &mut [&mut standby], 4);
         }
         assert!(rep.synced());
         assert_eq!(rep.lag(), 0);
@@ -1410,14 +1102,15 @@ mod tests {
             "standby diverged"
         );
         assert_eq!(standby.journal_bytes(), broker.journal_bytes().unwrap());
-        assert_eq!(rep.acked_lsn(), broker.state().version());
+        assert_eq!(rep.acked_lsn("b"), broker.state().version());
+        assert_eq!(rep.commit_lsn(), broker.state().version());
         assert_eq!(standby.state().int("count"), Some(10));
     }
 
     #[test]
     fn lossy_links_retransmit_until_the_standby_converges() {
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+        let mut broker = primary(&model());
+        let mut rep = replicator(&model());
         let mut standby = Standby::new("b");
         let net = net();
         net.set_link_loss("a", "b", 0.5);
@@ -1426,7 +1119,7 @@ mod tests {
         for _ in 0..20 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        drain(&mut rep, &net, &broker, &mut standby, 400);
+        drain(&mut rep, &net, &broker, &mut [&mut standby], 400);
         assert!(rep.synced(), "never converged under loss");
         assert!(rep.retransmits() > 0, "0.5 loss must force retransmission");
         assert_eq!(
@@ -1439,8 +1132,9 @@ mod tests {
 
     #[test]
     fn the_ack_window_bounds_what_goes_on_the_wire() {
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+        let mut broker = primary(&model());
+        let mut rep = replicator(&model());
+        let window = rep.config().peers[0].window_records;
         let mut standby = Standby::new("b");
         let net = net();
         net.partition_node("b");
@@ -1450,21 +1144,21 @@ mod tests {
         }
         let bytes = broker.journal_bytes().unwrap().to_vec();
         let r = rep
-            .tick(SimTime::ZERO, 1, &net, &bytes, &mut standby)
+            .tick(SimTime::ZERO, 1, &net, &bytes, &mut [&mut standby])
             .unwrap();
         // Go-back-N stops a batch on the first dropped leg, so at most
         // one line hits a partitioned wire — and never more than the
         // window even on healthy ones.
-        assert!(r.shipped <= rep.config().window_records);
-        assert!(rep.lag() > rep.config().window_records);
+        assert!(r.shipped <= window);
+        assert!(rep.lag() > window);
         assert_eq!(standby.received(), 0);
     }
 
     #[test]
     fn promotion_fences_the_stale_primary() {
         let m = model();
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&m, "a").unwrap().unwrap();
+        let mut broker = primary(&m);
+        let mut rep = replicator(&m);
         let mut standby = Standby::new("b");
         let net = net();
 
@@ -1472,7 +1166,7 @@ mod tests {
         for _ in 0..5 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        drain(&mut rep, &net, &broker, &mut standby, 4);
+        drain(&mut rep, &net, &broker, &mut [&mut standby], 4);
         net.partition_node("a");
         // The stranded primary keeps serving (split brain in the making).
         broker.call("inc", &args(&[])).unwrap();
@@ -1492,17 +1186,12 @@ mod tests {
                 broker.epoch(),
                 &net,
                 &bytes,
-                &mut standby,
+                &mut [&mut standby],
             )
             .unwrap();
-        match r.fenced {
-            Some(BrokerError::StaleEpoch { got, current }) => {
-                assert_eq!((got, current), (1, 2));
-            }
-            other => panic!("stale primary must be fenced, got {other:?}"),
-        }
+        assert_eq!(r.fenced, 1, "stale primary must be fenced");
         assert_eq!(rep.metrics().int("repl_fenced"), Some(1));
-        // Direct receive refuses with the typed error too, and applies
+        // Direct receive refuses with the typed error, and applies
         // nothing.
         let applied_before = standby.applied_lsn();
         match standby.receive(standby.received(), "op 99 set x i 1", 1) {
@@ -1521,15 +1210,15 @@ mod tests {
     #[test]
     fn reconcile_discards_the_stale_suffix_and_rebuilds() {
         let m = model();
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&m, "a").unwrap().unwrap();
+        let mut broker = primary(&m);
+        let mut rep = replicator(&m);
         let mut standby = Standby::new("b");
         let net = net();
 
         for _ in 0..4 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        drain(&mut rep, &net, &broker, &mut standby, 4);
+        drain(&mut rep, &net, &broker, &mut [&mut standby], 4);
         // Partition; both sides write: the primary's writes are doomed.
         net.partition_node("a");
         broker.call("inc", &args(&[])).unwrap();
@@ -1562,15 +1251,15 @@ mod tests {
 
     #[test]
     fn truncation_keeps_the_ship_cursor_consistent() {
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+        let mut broker = primary(&model());
+        let mut rep = replicator(&model());
         let mut standby = Standby::new("b");
         let net = net();
 
         for _ in 0..SNAPSHOT_EVERY + 2 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        drain(&mut rep, &net, &broker, &mut standby, 8);
+        drain(&mut rep, &net, &broker, &mut [&mut standby], 8);
         assert!(rep.synced());
         let reclaimed = rep.truncate_primary(&mut broker);
         assert!(
@@ -1582,7 +1271,7 @@ mod tests {
         for _ in 0..3 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        drain(&mut rep, &net, &broker, &mut standby, 8);
+        drain(&mut rep, &net, &broker, &mut [&mut standby], 8);
         assert!(rep.synced());
         assert_eq!(broker.state().first_divergence(standby.state()), None);
         assert_eq!(
@@ -1592,23 +1281,28 @@ mod tests {
     }
 
     #[test]
-    fn a_journal_shorter_than_the_read_cursor_is_refused_not_sliced() {
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+    fn catch_up_mirrors_the_journal_in_process() {
+        let mut broker = primary(&model());
         let mut standby = Standby::new("b");
-        let net = net();
-        for _ in 0..3 {
+        for _ in 0..5 {
             broker.call("inc", &args(&[])).unwrap();
+            let bytes = broker.journal_bytes().unwrap();
+            let acked = standby.catch_up(bytes, broker.epoch()).unwrap();
+            assert_eq!(acked, standby.received());
         }
-        drain(&mut rep, &net, &broker, &mut standby, 8);
-        // The journal rewritten behind the replicator's back (a dropped
-        // tail, say) is shorter than what it already ingested.
         let bytes = broker.journal_bytes().unwrap();
-        let short = &bytes[..bytes.len() / 2];
-        match rep.tick(SimTime::ZERO, broker.epoch(), &net, short, &mut standby) {
-            Err(BrokerError::RecoveryDiverged(m)) => assert!(m.contains("truncate_primary"), "{m}"),
-            other => panic!("expected RecoveryDiverged, got {other:?}"),
-        }
+        assert_eq!(standby.journal_bytes(), bytes);
+        assert_eq!(broker.state().first_divergence(standby.state()), None);
+        // Nothing new: a second call ships nothing.
+        let received = standby.received();
+        assert_eq!(standby.catch_up(bytes, broker.epoch()).unwrap(), received);
+        // A fenced standby refuses a stale epoch with the typed error.
+        broker.call("inc", &args(&[])).unwrap();
+        standby.fence(2);
+        assert!(matches!(
+            standby.catch_up(broker.journal_bytes().unwrap(), 1),
+            Err(BrokerError::StaleEpoch { got: 1, current: 2 })
+        ));
     }
 
     /// First index at or after `from` whose byte is not a newline — a safe
@@ -1622,13 +1316,13 @@ mod tests {
     /// A fully-synced primary/standby pair plus a pristine copy of the
     /// primary's journal bytes, after `calls` increments.
     fn synced_pair(calls: u32) -> (GenericBroker, Standby, Vec<u8>) {
-        let mut broker = primary();
-        let mut rep = Replicator::from_model(&model(), "a").unwrap().unwrap();
+        let mut broker = primary(&model());
+        let mut rep = replicator(&model());
         let mut standby = Standby::new("b");
         let net = net();
         for _ in 0..calls {
             broker.call("inc", &args(&[])).unwrap();
-            drain(&mut rep, &net, &broker, &mut standby, 4);
+            drain(&mut rep, &net, &broker, &mut [&mut standby], 4);
         }
         assert!(rep.synced());
         let pristine = broker.journal_bytes().unwrap().to_vec();
@@ -1663,7 +1357,7 @@ mod tests {
         // End-to-end: recovery with the anti-entropy fallback rebuilds the
         // exact pre-damage state and journals the repair provenance.
         let (recovered, _report, rep) =
-            recover_with_anti_entropy(&m, hub(), &damaged, &[], &standby).unwrap();
+            recover_with_anti_entropy(&m, hub(), &damaged, &[], &[&standby]).unwrap();
         assert_eq!(rep.as_ref(), Some(&repair));
         assert_eq!(recovered.state().int("count"), Some(6));
         assert_eq!(recovered.state().first_divergence(standby.state()), None);
@@ -1704,7 +1398,7 @@ mod tests {
         assert!(standby.applied_lsn() > t.last_lsn, "acked past the tear");
         // The anti-entropy path refuses to lose it: heal from the mirror.
         let (recovered, report, rep) =
-            recover_with_anti_entropy(&m, hub(), torn, &[], &standby).unwrap();
+            recover_with_anti_entropy(&m, hub(), torn, &[], &[&standby]).unwrap();
         assert!(rep.is_some(), "ack-window check must force a repair");
         assert_eq!(report.torn_records_dropped, 0);
         assert_eq!(recovered.state().int("count"), Some(5), "no committed loss");
@@ -1728,7 +1422,7 @@ mod tests {
             .map_or(0, |i| i + 1);
         let torn = &bytes[..last_line_start + 3];
         let (recovered, report, rep) =
-            recover_with_anti_entropy(&m, hub(), torn, &[], &standby).unwrap();
+            recover_with_anti_entropy(&m, hub(), torn, &[], &[&standby]).unwrap();
         assert!(rep.is_none(), "unacked tear needs no standby round-trip");
         assert_eq!(report.torn_records_dropped, 1);
         // The unacked in-flight record is (correctly) gone; everything
@@ -1751,7 +1445,7 @@ mod tests {
         let r = journal::replay(clipped).unwrap();
         assert!(r.torn.is_none(), "a clean cut leaves no torn marker");
         let (recovered, _report, rep) =
-            recover_with_anti_entropy(&m, hub(), clipped, &[], &standby).unwrap();
+            recover_with_anti_entropy(&m, hub(), clipped, &[], &[&standby]).unwrap();
         assert!(rep.is_some(), "the mirror comparison must force a repair");
         assert_eq!(recovered.state().int("count"), Some(4));
         let jb = recovered.journal_bytes().unwrap();
@@ -1795,7 +1489,7 @@ mod tests {
             "every readable local-only line survives the repair"
         );
         let (recovered, _report, rep) =
-            recover_with_anti_entropy(&m, hub(), &damaged, &[], &standby).unwrap();
+            recover_with_anti_entropy(&m, hub(), &damaged, &[], &[&standby]).unwrap();
         assert!(rep.is_some());
         assert_eq!(recovered.state().int("count"), Some(4));
     }
@@ -1844,45 +1538,6 @@ mod tests {
 
     // ----- quorum replica sets -----
 
-    fn quorum_model(quorum: u64, peers: &[&str]) -> Model {
-        let lanes: Vec<(&str, &str, u64, u64)> = peers
-            .iter()
-            .map(|n| (*n, "AckWindowed", 4, 5_000))
-            .collect();
-        BrokerModelBuilder::new("qrep")
-            .call_handler("inc", "inc")
-            .action("inc", "doInc", "ctr", "inc", &[], None, &["count=+1"])
-            .bind_resource("ctr", "sim.ctr")
-            .replica_set(quorum, &lanes)
-            .build()
-    }
-
-    fn quorum_primary(m: &Model) -> GenericBroker {
-        let mut b = GenericBroker::from_model(m, hub()).unwrap();
-        b.enable_journal(SNAPSHOT_EVERY);
-        b
-    }
-
-    /// Ships until every peer is synced or `rounds` timeouts elapse.
-    fn qdrain(
-        rep: &mut QuorumReplicator,
-        net: &Network,
-        broker: &GenericBroker,
-        peers: &mut [&mut Standby],
-        rounds: u32,
-    ) {
-        let step = SimDuration::from_micros(5_000);
-        let mut now = SimTime::ZERO;
-        for _ in 0..rounds {
-            let bytes = broker.journal_bytes().unwrap();
-            rep.tick(now, broker.epoch(), net, bytes, peers).unwrap();
-            if rep.synced() {
-                return;
-            }
-            now = now + step;
-        }
-    }
-
     #[test]
     fn replica_set_config_compiles_and_validates() {
         assert!(
@@ -1907,8 +1562,8 @@ mod tests {
     #[test]
     fn commit_lsn_is_the_quorum_th_largest_acked() {
         let m = quorum_model(2, &["b", "c"]);
-        let mut broker = quorum_primary(&m);
-        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
+        let mut broker = primary(&m);
+        let mut rep = replicator(&m);
         let mut b = Standby::new("b");
         let mut c = Standby::new("c");
         let net = net();
@@ -1918,7 +1573,7 @@ mod tests {
         for _ in 0..6 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(!rep.synced(), "c can never ack through a partition");
         assert!(rep.quorum_synced(), "primary + b are a quorum");
         assert_eq!(rep.commit_lsn(), broker.state().version());
@@ -1941,8 +1596,8 @@ mod tests {
         // not advance the commit point — and truncation must not drop
         // history below what the quorum holds.
         let m = quorum_model(3, &["b", "c"]);
-        let mut broker = quorum_primary(&m);
-        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
+        let mut broker = primary(&m);
+        let mut rep = replicator(&m);
         let mut b = Standby::new("b");
         let mut c = Standby::new("c");
         let net = net();
@@ -1950,7 +1605,7 @@ mod tests {
         for _ in 0..SNAPSHOT_EVERY + 2 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert_eq!(rep.acked_lsn("b"), broker.state().version());
         assert_eq!(rep.commit_lsn(), 0, "2 holders < quorum 3: nothing commits");
         assert_eq!(
@@ -1960,7 +1615,7 @@ mod tests {
         );
         // Heal c: the full set converges and the commit point catches up.
         net.heal_node("c");
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(rep.synced());
         assert_eq!(rep.commit_lsn(), broker.state().version());
         assert!(
@@ -1969,7 +1624,7 @@ mod tests {
         );
         // Shipping continues seamlessly over the rewritten journal.
         broker.call("inc", &args(&[])).unwrap();
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(rep.synced());
         assert_eq!(broker.state().first_divergence(b.state()), None);
         assert_eq!(broker.state().first_divergence(c.state()), None);
@@ -1978,15 +1633,15 @@ mod tests {
     #[test]
     fn reset_peer_reships_the_full_history_to_a_fresh_mirror() {
         let m = quorum_model(2, &["b", "c"]);
-        let mut broker = quorum_primary(&m);
-        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
+        let mut broker = primary(&m);
+        let mut rep = replicator(&m);
         let mut b = Standby::new("b");
         let mut c = Standby::new("c");
         let net = net();
         for _ in 0..5 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(rep.synced());
         let commit_before = rep.commit_lsn();
         // c loses its disk: revive it empty and rewind its lane.
@@ -1998,7 +1653,7 @@ mod tests {
             commit_before,
             "the commit point is monotone across a rewind"
         );
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(rep.synced());
         assert_eq!(c.journal_bytes(), broker.journal_bytes().unwrap());
         assert_eq!(broker.state().first_divergence(c.state()), None);
@@ -2007,14 +1662,14 @@ mod tests {
     #[test]
     fn quorum_tick_refuses_a_journal_shorter_than_the_read_cursor() {
         let m = quorum_model(2, &["b", "c"]);
-        let mut broker = quorum_primary(&m);
-        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
+        let mut broker = primary(&m);
+        let mut rep = replicator(&m);
         let (mut b, mut c) = (Standby::new("b"), Standby::new("c"));
         let net = net();
         for _ in 0..3 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         let bytes = broker.journal_bytes().unwrap();
         let short = &bytes[..bytes.len() / 2];
         let peers: &mut [&mut Standby] = &mut [&mut b, &mut c];
@@ -2031,8 +1686,8 @@ mod tests {
     #[test]
     fn one_fenced_lane_does_not_stop_the_others() {
         let m = quorum_model(2, &["b", "c"]);
-        let mut broker = quorum_primary(&m);
-        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
+        let mut broker = primary(&m);
+        let mut rep = replicator(&m);
         let mut b = Standby::new("b");
         let mut c = Standby::new("c");
         // c has seen a newer epoch (a promotion happened elsewhere): it
@@ -2073,21 +1728,21 @@ mod tests {
     #[test]
     fn the_freshest_replica_serves_as_the_quorum_repair_source() {
         let m = quorum_model(2, &["b", "c"]);
-        let mut broker = quorum_primary(&m);
-        let mut rep = QuorumReplicator::from_model(&m, "a").unwrap().unwrap();
+        let mut broker = primary(&m);
+        let mut rep = replicator(&m);
         let mut b = Standby::new("b");
         let mut c = Standby::new("c");
         let net = net();
         for _ in 0..4 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         // c falls behind: two more calls ship to b only.
         net.partition_node("c");
         for _ in 0..2 {
             broker.call("inc", &args(&[])).unwrap();
         }
-        qdrain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
+        drain(&mut rep, &net, &broker, &mut [&mut b, &mut c], 40);
         assert!(b.applied_lsn() > c.applied_lsn());
         let src = select_repair_source(&[&c, &b]).expect("two candidates");
         assert_eq!(src.node(), "b", "the freshest mirror wins");
@@ -2100,11 +1755,11 @@ mod tests {
         let mut damaged = pristine.clone();
         damaged[mid] ^= 0x01;
         let (recovered, _report, repair) =
-            recover_with_quorum(&m, hub(), &damaged, &[], &[&c, &b]).unwrap();
+            recover_with_anti_entropy(&m, hub(), &damaged, &[], &[&c, &b]).unwrap();
         let repair = repair.expect("interior damage forces a repair");
         assert_eq!(repair.source_node, "b");
         assert_eq!(recovered.state().int("count"), Some(6));
-        match recover_with_quorum(&m, hub(), &damaged, &[], &[]) {
+        match recover_with_anti_entropy(&m, hub(), &damaged, &[], &[]) {
             Err(BrokerError::RecoveryDiverged(msg)) => {
                 assert!(msg.contains("reachable"), "{msg}")
             }

@@ -73,8 +73,8 @@ pub enum SupervisorDecision {
         /// The component the supervisor gave up on.
         component: String,
     },
-    /// The component has a designated reachable standby: promote the
-    /// standby instead of restarting. The failed component leaves
+    /// The component's replica set has a reachable member: promote the
+    /// elected standby instead of restarting. The failed component leaves
     /// supervision until [`Supervisor::rejoin`].
     Failover {
         /// The failed (or force-failed-over) primary.
@@ -99,10 +99,10 @@ pub enum SupervisorDecision {
         monitor: String,
     },
     /// The component's durable journal failed verification
-    /// ([`crate::BrokerError::JournalDamaged`]) and it has a designated
-    /// reachable standby: heal the journal from the standby's mirror
+    /// ([`crate::BrokerError::JournalDamaged`]) and its replica set has a
+    /// reachable member: heal the journal from that standby's mirror
     /// (anti-entropy, [`crate::replication::repair_journal`]) and resume
-    /// ordinary recovery. When no standby exists the symptom degrades to
+    /// ordinary recovery. When no replica is reachable the symptom degrades to
     /// [`SupervisorDecision::Quarantine`] instead — there is nothing to
     /// repair from, so the component must not serve from a lying disk.
     RepairJournal {
@@ -153,11 +153,10 @@ pub struct Supervisor {
     /// sliding restart-intensity window).
     restart_log: BTreeMap<String, Vec<u64>>,
     escalated: Vec<String>,
-    /// primary -> designated hot standby.
-    standbys: BTreeMap<String, String>,
     /// primary -> its replica set (quorum failover: on primary loss the
     /// reachable member with the longest quorum-committed prefix is
-    /// elected and the survivors are re-parented under it).
+    /// elected and the survivors are re-parented under it). A single hot
+    /// standby is a one-member set.
     replica_sets: BTreeMap<String, Vec<String>>,
     /// Components failed over and awaiting [`Supervisor::rejoin`].
     awaiting_rejoin: Vec<String>,
@@ -193,7 +192,6 @@ impl Supervisor {
             components: components.iter().map(|c| (*c).to_owned()).collect(),
             restart_log: BTreeMap::new(),
             escalated: Vec::new(),
-            standbys: BTreeMap::new(),
             replica_sets: BTreeMap::new(),
             awaiting_rejoin: Vec::new(),
             forced: Vec::new(),
@@ -217,23 +215,14 @@ impl Supervisor {
             .set_int(&key("hb", component), now.as_micros() as i64);
     }
 
-    /// Designates `standby` as the hot standby of `primary`: as long as
-    /// the standby is reachable, an unhealthy primary is failed over to
-    /// it instead of restarted. Unknown components are ignored.
-    pub fn designate_standby(&mut self, primary: &str, standby: &str) {
-        if self.known(primary) && self.known(standby) && primary != standby {
-            self.standbys.insert(primary.to_owned(), standby.to_owned());
-            self.state.set_str(&key("standby", primary), standby);
-        }
-    }
-
     /// Designates the replica set of `primary`: on primary loss the
     /// supervisor polls the members, elects the reachable one with the
     /// longest quorum-committed prefix (see
     /// [`Supervisor::note_replica_lsn`]) under a bumped epoch, and
-    /// re-parents the survivors under it. Unknown members and the
-    /// primary itself are dropped from the set; an all-unknown set is
-    /// ignored.
+    /// re-parents the survivors under it. A single hot standby is the
+    /// one-member set `&[standby]`. Re-designating replaces the set.
+    /// Unknown members and the primary itself are dropped from the set;
+    /// an all-unknown set is ignored.
     pub fn designate_replica_set(&mut self, primary: &str, replicas: &[&str]) {
         if !self.known(primary) {
             return;
@@ -330,8 +319,8 @@ impl Supervisor {
     /// Feeds a journal-damage report
     /// ([`crate::BrokerError::JournalDamaged`]) into the supervisor's
     /// runtime model as a symptom: the next [`Supervisor::tick`] emits
-    /// [`SupervisorDecision::RepairJournal`] when the component has a
-    /// reachable designated standby (whose mirror can heal the journal),
+    /// [`SupervisorDecision::RepairJournal`] when the component's replica
+    /// set has a reachable member (whose mirror can heal the journal),
     /// falling back to [`SupervisorDecision::Quarantine`] when none
     /// exists. Unknown components are ignored.
     pub fn note_journal_damage(&mut self, component: &str, detail: &str) {
@@ -356,8 +345,9 @@ impl Supervisor {
 
     /// Readmits a failed-over (or healed) component to supervision with
     /// clean flags and a fresh heartbeat. The caller re-registers it as a
-    /// standby via [`Supervisor::designate_standby`] once it has been
-    /// fenced and reconciled.
+    /// replica ([`Supervisor::designate_replica_set`] or
+    /// [`Supervisor::add_replica`]) once it has been fenced and
+    /// reconciled.
     pub fn rejoin(&mut self, component: &str, now: SimTime) {
         if !self.known(component) {
             return;
@@ -400,7 +390,6 @@ impl Supervisor {
 
     fn promote(&mut self, component: String, standby: String, reason: &str) -> SupervisorDecision {
         self.epoch += 1;
-        self.standbys.remove(&component);
         self.awaiting_rejoin.push(component.clone());
         self.promotions.push((self.epoch, standby.clone()));
         self.state.set_int("epoch", self.epoch as i64);
@@ -499,19 +488,12 @@ impl Supervisor {
                     .str(&key("jdamage_why", &component))
                     .unwrap_or_default()
                     .to_owned();
-                // A single designated standby wins; otherwise the replica
-                // set supplies the freshest reachable member as the
-                // anti-entropy source.
+                // The replica set supplies the freshest reachable member
+                // as the anti-entropy source.
                 let standby = self
-                    .standbys
+                    .replica_sets
                     .get(&component)
-                    .filter(|s| self.reachable(s))
-                    .cloned()
-                    .or_else(|| {
-                        self.replica_sets
-                            .get(&component)
-                            .and_then(|set| self.elect(set))
-                    });
+                    .and_then(|set| self.elect(set));
                 decisions.push(match standby {
                     Some(standby) => SupervisorDecision::RepairJournal {
                         component,
@@ -564,19 +546,11 @@ impl Supervisor {
                 "heartbeat-stale"
             };
 
-            // A primary with a reachable hot standby fails over instead of
-            // restarting; restart intensity is not charged (the standby is
-            // fresh, not a restart of the failed component).
-            if let Some(standby) = self.standbys.get(&component).cloned() {
-                if self.reachable(&standby) {
-                    decisions.push(self.promote(component, standby, reason));
-                    continue;
-                }
-            }
-
             // A primary with a replica set holds a quorum election: the
             // reachable member with the longest reported prefix is
             // promoted under a bumped epoch and the survivors re-parent.
+            // Restart intensity is not charged (the promoted replica is
+            // fresh, not a restart of the failed component).
             if let Some(set) = self.replica_sets.get(&component).cloned() {
                 if let Some(elected) = self.elect(&set) {
                     self.reparent_after_promotion(&component, &elected);
@@ -799,7 +773,7 @@ mod tests {
     #[test]
     fn crashed_primary_fails_over_to_its_standby() {
         let mut s = Supervisor::new(&["a", "b"], policy());
-        s.designate_standby("a", "b");
+        s.designate_replica_set("a", &["b"]);
         s.heartbeat("b", SimTime::from_millis(9));
         s.crash_component("a");
         let d = s.tick(SimTime::from_millis(10)).unwrap();
@@ -823,7 +797,7 @@ mod tests {
         assert!(s.tick(SimTime::from_millis(12)).unwrap().is_empty());
         // After fencing + reconcile the old primary rejoins as standby.
         s.rejoin("a", SimTime::from_millis(20));
-        s.designate_standby("b", "a");
+        s.designate_replica_set("b", &["a"]);
         s.crash_component("b");
         let d = s.tick(SimTime::from_millis(21)).unwrap();
         assert!(matches!(
@@ -835,7 +809,7 @@ mod tests {
     #[test]
     fn partition_fires_the_symptom_and_fails_over() {
         let mut s = Supervisor::new(&["a", "b"], policy());
-        s.designate_standby("a", "b");
+        s.designate_replica_set("a", &["b"]);
         s.heartbeat("b", SimTime::from_millis(9));
         s.note_partitioned("a", true);
         // A partitioned node's heartbeats never arrive.
@@ -851,7 +825,7 @@ mod tests {
     #[test]
     fn unreachable_standby_falls_back_to_restart() {
         let mut s = Supervisor::new(&["a", "b"], policy());
-        s.designate_standby("a", "b");
+        s.designate_replica_set("a", &["b"]);
         // Simultaneous crash + partition: the standby cannot take over.
         s.crash_component("a");
         s.note_partitioned("b", true);
@@ -888,7 +862,7 @@ mod tests {
     #[test]
     fn journal_damage_repairs_from_a_reachable_standby() {
         let mut s = Supervisor::new(&["a", "b"], policy());
-        s.designate_standby("a", "b");
+        s.designate_replica_set("a", &["b"]);
         s.heartbeat("a", SimTime::from_millis(9));
         s.heartbeat("b", SimTime::from_millis(9));
         s.note_journal_damage("a", "crc mismatch at lsn 7");
@@ -911,7 +885,7 @@ mod tests {
 
     #[test]
     fn journal_damage_without_a_usable_standby_quarantines() {
-        // No standby designated: nothing can heal the journal, and the
+        // No replica designated: nothing can heal the journal, and the
         // component must not serve from a lying disk.
         let mut s = Supervisor::new(&["a", "b"], policy());
         s.heartbeat("a", SimTime::from_millis(9));
@@ -925,9 +899,9 @@ mod tests {
                 monitor: "journal".into(),
             }]
         );
-        // A designated but unreachable standby is no better.
+        // A designated but unreachable replica is no better.
         let mut s = Supervisor::new(&["a", "b"], policy());
-        s.designate_standby("a", "b");
+        s.designate_replica_set("a", &["b"]);
         s.heartbeat("a", SimTime::from_millis(9));
         s.note_partitioned("b", true);
         s.note_journal_damage("a", "bit rot");

@@ -314,7 +314,7 @@ fn failover_interleavings_yield_one_primary_per_epoch() {
             },
         );
         let mut primary = "a".to_string();
-        sup.designate_standby("a", "b");
+        sup.designate_replica_set("a", &["b"]);
 
         let mut t_us = 0u64;
         let mut seen_epochs = BTreeSet::new();
@@ -340,7 +340,7 @@ fn failover_interleavings_yield_one_primary_per_epoch() {
                 for n in NODES {
                     if sup.awaiting_rejoin(n) {
                         sup.rejoin(n, now);
-                        sup.designate_standby(&primary, n);
+                        sup.designate_replica_set(&primary, &[*n]);
                         break;
                     }
                 }

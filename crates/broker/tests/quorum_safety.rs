@@ -331,6 +331,40 @@ fn a_tick_ships_only_the_new_lines_however_long_the_history() {
     }
 }
 
+/// A lane never re-ships what its peer already acknowledged. A peer
+/// rejoining with a full mirror re-acks the whole journal on the first
+/// line it is shipped, which moves the lane's acked cursor past the
+/// lines it has shipped so far; the next tick must start from that
+/// cursor, not from the shipped one.
+#[test]
+fn a_rejoined_full_mirror_is_not_reshipped_what_it_acked() {
+    let (mut broker, mut rep, mut standbys) =
+        replica_set(11, vec![peer("n1", ShipMode::AckWindowed, 8)]);
+    let net = Network::new(Link::default(), 11);
+    for n in 0..20 {
+        bump(&mut broker, n);
+    }
+    for _ in 0..20 {
+        tick(&mut rep, SimTime::ZERO, &net, &broker, &mut standbys);
+    }
+    assert!(rep.synced());
+
+    let journal = broker.journal_bytes().unwrap();
+    let mirror = Standby::from_mirror("n2", journal, broker.epoch()).expect("mirror replays");
+    standbys.insert("n2".into(), mirror);
+    rep.add_peer(peer("n2", ShipMode::AckWindowed, 4));
+    let first = tick(&mut rep, SimTime::ZERO, &net, &broker, &mut standbys);
+    assert!(first.shipped <= 4, "the window bounds the first batch");
+    assert!(rep.synced(), "the first re-ack covers the whole journal");
+    let second = tick(&mut rep, SimTime::ZERO, &net, &broker, &mut standbys);
+    assert_eq!(second.shipped, 0, "every line is acked: nothing to ship");
+    assert_eq!(second.retransmitted, 0);
+    assert_eq!(
+        standbys["n2"].journal_bytes(),
+        broker.journal_bytes().unwrap()
+    );
+}
+
 /// The bytes the replicator has ingested: the primary's journal as
 /// appended, with nothing removed by truncation.
 struct History {
