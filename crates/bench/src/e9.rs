@@ -21,7 +21,7 @@
 //!   journal follows when the network allows. A partitioned primary keeps
 //!   committing writes the standby never sees — after failover those are
 //!   **committed-but-lost**, and the healed stale primary must be fenced
-//!   ([`BrokerError::StaleEpoch`]) and reconciled;
+//!   ([`BrokerError::StaleEpoch`](mddsm_broker::BrokerError::StaleEpoch)) and reconciled;
 //! * **ack-windowed** — CP behaviour: a call is served only when the
 //!   standby is caught up, and committed only once its records are
 //!   acknowledged. Partitions cost availability (rejected calls), never
@@ -164,7 +164,7 @@ pub struct E9Run {
     /// Times the failed-over node healed and rejoined as the new standby.
     pub rejoins: u64,
     /// Stale-epoch refusals observed when a healed stale primary tried to
-    /// ship its divergent journal ([`BrokerError::StaleEpoch`]).
+    /// ship its divergent journal ([`BrokerError::StaleEpoch`](mddsm_broker::BrokerError::StaleEpoch)).
     pub fenced_events: u64,
     /// Journal reconciliations run for healed stale primaries.
     pub reconciles: u64,

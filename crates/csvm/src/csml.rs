@@ -125,14 +125,21 @@ mod tests {
 
     #[test]
     fn lts_emits_query_lifecycle() {
-        use mddsm_meta::diff::{diff, DiffOptions};
+        use mddsm_meta::diff::{diff, DiffOptions, KeyIndex};
         use mddsm_synthesis::{ChangeInterpreter, InterpreterConfig};
         let mm = csml_metamodel();
         let mut interp = ChangeInterpreter::new(csml_lts(), InterpreterConfig::default());
         let empty = Model::new(CSML);
         let m = query_model();
         let changes = diff(&empty, &m, &DiffOptions::default());
-        let out = interp.interpret(&changes, &m, &mm).unwrap();
+        let out = interp
+            .interpret(
+                &changes,
+                &m,
+                &KeyIndex::new(&m, &DiffOptions::default()),
+                &mm,
+            )
+            .unwrap();
         let rendered = out.immediate.render();
         assert!(rendered.contains("startQuery"), "{rendered}");
         assert!(rendered.contains("rate=2"), "{rendered}");
@@ -143,7 +150,14 @@ mod tests {
         let q = m2.all_of_class("SensingQuery")[0];
         m2.set_attr(q, "sampleRateHz", Value::from(10));
         let changes = diff(&m, &m2, &DiffOptions::default());
-        let out = interp.interpret(&changes, &m2, &mm).unwrap();
+        let out = interp
+            .interpret(
+                &changes,
+                &m2,
+                &KeyIndex::new(&m2, &DiffOptions::default()),
+                &mm,
+            )
+            .unwrap();
         assert!(
             out.immediate.render().contains("retargetQuery"),
             "{}",
@@ -153,7 +167,14 @@ mod tests {
 
         // Deletion stops.
         let changes = diff(&m2, &empty, &DiffOptions::default());
-        let out = interp.interpret(&changes, &empty, &mm).unwrap();
+        let out = interp
+            .interpret(
+                &changes,
+                &empty,
+                &KeyIndex::new(&empty, &DiffOptions::default()),
+                &mm,
+            )
+            .unwrap();
         assert!(out.immediate.render().contains("stopQuery"));
     }
 }

@@ -9,12 +9,14 @@
 //!
 //! Objects are matched across models by a *key*: the value of the first
 //! present key attribute (by default `id` then `name`); unkeyed objects are
-//! matched positionally within their class.
+//! matched positionally within their class. A [`KeyIndex`] holds one
+//! model's keys; [`diff_indexed`] compares two models through their
+//! indexes, which [`diff`] builds first.
 
 use crate::error::MetaError;
-use crate::model::{Model, ObjectId};
+use crate::model::{MObject, Model, ObjectId};
 use crate::{Result, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Options controlling object matching.
 #[derive(Debug, Clone)]
@@ -116,178 +118,191 @@ impl ChangeList {
     }
 }
 
-/// Computes the key of every live object in a model.
-pub fn keys_of(model: &Model, opts: &DiffOptions) -> BTreeMap<ObjectId, ObjectKey> {
-    let mut out = BTreeMap::new();
-    let mut ordinal: BTreeMap<String, u32> = BTreeMap::new();
-    for (id, obj) in model.iter() {
-        let key = opts
-            .key_attrs
-            .iter()
-            .find_map(|a| obj.attrs.get(a).and_then(|v| v.first()))
-            .map(|v| v.to_string());
-        let key = match key {
-            Some(k) => k,
-            None => {
-                let n = ordinal.entry(obj.class.clone()).or_insert(0);
-                let k = format!("~{n}");
-                *n += 1;
-                k
-            }
-        };
-        out.insert(
-            id,
-            ObjectKey {
-                class: obj.class.clone(),
-                key,
-            },
-        );
-    }
-    out
+/// The keys of a model's live objects, indexed both ways: the model
+/// comparator's view of one model.
+///
+/// It is built in one pass over the model and borrows nothing from it, so
+/// a caller that keeps a model can keep its index too (the Synthesis
+/// engine does, for the running model). An index describes the model it
+/// was built from; pairing it with another model is a caller bug.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct KeyIndex {
+    /// Key of each live object, by [`ObjectId::index`].
+    keys: Vec<Option<ObjectKey>>,
+    /// The object holding each key; of two holding one key, the later.
+    ids: BTreeMap<ObjectKey, ObjectId>,
+    /// The first key found on more than one live object.
+    duplicate: Option<ObjectKey>,
 }
 
-/// A canonical, id-free rendering of a model used for equivalence checks.
-pub type Canonical = BTreeMap<
-    ObjectKey,
-    (
-        BTreeMap<String, Vec<Value>>,
-        BTreeMap<String, Vec<ObjectKey>>,
-    ),
->;
-
-/// Canonicalizes a model: objects keyed by [`ObjectKey`], references
-/// rewritten to keys.
-pub fn canonical(model: &Model, opts: &DiffOptions) -> Canonical {
-    let keys = keys_of(model, opts);
-    let mut out = Canonical::new();
-    for (id, obj) in model.iter() {
-        let attrs = obj.attrs.clone();
-        let refs = obj
-            .refs
-            .iter()
-            .map(|(slot, targets)| {
-                (
-                    slot.clone(),
-                    targets
-                        .iter()
-                        .filter_map(|t| keys.get(t).cloned())
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .filter(|(_, t): &(String, Vec<ObjectKey>)| !t.is_empty())
-            .collect();
-        let attrs = attrs.into_iter().filter(|(_, v)| !v.is_empty()).collect();
-        out.insert(keys[&id].clone(), (attrs, refs));
+impl KeyIndex {
+    /// Computes the key of every live object in `model`.
+    pub fn new(model: &Model, opts: &DiffOptions) -> Self {
+        let mut index = KeyIndex::default();
+        let mut ordinal: BTreeMap<&str, u32> = BTreeMap::new();
+        for (id, obj) in model.iter() {
+            let key = match opts
+                .key_attrs
+                .iter()
+                .find_map(|a| obj.attrs.get(a).and_then(|v| v.first()))
+            {
+                Some(v) => v.to_string(),
+                None => {
+                    let n = ordinal.entry(&obj.class).or_insert(0);
+                    let k = format!("~{n}");
+                    *n += 1;
+                    k
+                }
+            };
+            let key = ObjectKey {
+                class: obj.class.clone(),
+                key,
+            };
+            if index.ids.insert(key.clone(), id).is_some() && index.duplicate.is_none() {
+                index.duplicate = Some(key.clone());
+            }
+            let slot = id.index() as usize;
+            if index.keys.len() <= slot {
+                index.keys.resize(slot + 1, None);
+            }
+            index.keys[slot] = Some(key);
+        }
+        index
     }
-    out
+
+    /// The key of a live object.
+    pub fn key(&self, id: ObjectId) -> Option<&ObjectKey> {
+        self.keys.get(id.index() as usize)?.as_ref()
+    }
+
+    /// The object holding `key` (the later one, if two hold it).
+    pub fn id(&self, key: &ObjectKey) -> Option<ObjectId> {
+        self.ids.get(key).copied()
+    }
+
+    /// The first key found on more than one live object, if any. Keyed
+    /// matching cannot tell such objects apart.
+    pub fn duplicate(&self) -> Option<&ObjectKey> {
+        self.duplicate.as_ref()
+    }
 }
 
 /// Returns `true` if two models are equivalent up to object identity.
 pub fn equivalent(a: &Model, b: &Model, opts: &DiffOptions) -> bool {
-    canonical(a, opts) == canonical(b, opts)
+    diff(a, b, opts).is_empty()
 }
 
 /// Compares `old` and `new`, producing the change list that transforms
 /// `old` into `new`.
 pub fn diff(old: &Model, new: &Model, opts: &DiffOptions) -> ChangeList {
-    let co = canonical(old, opts);
-    let cn = canonical(new, opts);
+    diff_indexed(
+        old,
+        &KeyIndex::new(old, opts),
+        new,
+        &KeyIndex::new(new, opts),
+    )
+}
+
+/// [`diff`] of two models whose key indexes the caller already holds.
+///
+/// The two indexes are walked side by side in key order and the objects'
+/// slots read in place; only the values that go into a [`Change`] are
+/// cloned. An empty slot counts as unset, and a reference to an object
+/// that is not live is ignored.
+pub fn diff_indexed(
+    old: &Model,
+    old_keys: &KeyIndex,
+    new: &Model,
+    new_keys: &KeyIndex,
+) -> ChangeList {
+    fn live(model: &Model, id: ObjectId) -> &MObject {
+        model.object(id).expect("indexed object is live")
+    }
     let mut creates = Vec::new();
     let mut updates = Vec::new();
     let mut deletes = Vec::new();
 
-    for (key, (nattrs, nrefs)) in &cn {
-        match co.get(key) {
-            None => {
-                creates.push(Change::Create { key: key.clone() });
-                for (attr, values) in nattrs {
-                    updates.push(Change::SetAttr {
-                        key: key.clone(),
-                        attr: attr.clone(),
-                        values: values.clone(),
-                    });
-                }
-                for (reference, targets) in nrefs {
-                    updates.push(Change::SetRefs {
-                        key: key.clone(),
-                        reference: reference.clone(),
-                        targets: targets.clone(),
-                    });
-                }
+    // Both indexes are in key order: walk them side by side.
+    let mut olds = old_keys.ids.iter().peekable();
+    for (key, &nid) in &new_keys.ids {
+        while let Some((gone, _)) = olds.next_if(|(k, _)| *k < key) {
+            deletes.push(Change::Delete { key: gone.clone() });
+        }
+        let nobj = live(new, nid);
+        let oobj = olds
+            .next_if(|(k, _)| *k == key)
+            .map(|(_, &oid)| live(old, oid));
+        if oobj.is_none() {
+            creates.push(Change::Create { key: key.clone() });
+        }
+        let set_attr = |attr: &String, values| Change::SetAttr {
+            key: key.clone(),
+            attr: attr.clone(),
+            values,
+        };
+        let set_refs = |reference: &String, targets| Change::SetRefs {
+            key: key.clone(),
+            reference: reference.clone(),
+            targets,
+        };
+        for (attr, values) in &nobj.attrs {
+            if !values.is_empty() && oobj.and_then(|o| attr_slot(o, attr)) != Some(values) {
+                updates.push(set_attr(attr, values.clone()));
             }
-            Some((oattrs, orefs)) => {
-                for (attr, values) in nattrs {
-                    if oattrs.get(attr) != Some(values) {
-                        updates.push(Change::SetAttr {
-                            key: key.clone(),
-                            attr: attr.clone(),
-                            values: values.clone(),
-                        });
-                    }
-                }
-                for attr in oattrs.keys() {
-                    if !nattrs.contains_key(attr) {
-                        updates.push(Change::SetAttr {
-                            key: key.clone(),
-                            attr: attr.clone(),
-                            values: Vec::new(),
-                        });
-                    }
-                }
-                for (reference, targets) in nrefs {
-                    if orefs.get(reference) != Some(targets) {
-                        updates.push(Change::SetRefs {
-                            key: key.clone(),
-                            reference: reference.clone(),
-                            targets: targets.clone(),
-                        });
-                    }
-                }
-                for reference in orefs.keys() {
-                    if !nrefs.contains_key(reference) {
-                        updates.push(Change::SetRefs {
-                            key: key.clone(),
-                            reference: reference.clone(),
-                            targets: Vec::new(),
-                        });
-                    }
+        }
+        if let Some(o) = oobj {
+            for (attr, values) in &o.attrs {
+                if !values.is_empty() && attr_slot(nobj, attr).is_none() {
+                    updates.push(set_attr(attr, Vec::new()));
                 }
             }
         }
-    }
-    for key in co.keys() {
-        if !cn.contains_key(key) {
-            deletes.push(Change::Delete { key: key.clone() });
+        for (reference, targets) in &nobj.refs {
+            let new_targets = || live_keys(targets, new_keys);
+            let unchanged = oobj
+                .and_then(|o| o.refs.get(reference))
+                .is_some_and(|t| live_keys(t, old_keys).eq(new_targets()));
+            if new_targets().next().is_some() && !unchanged {
+                updates.push(set_refs(reference, new_targets().cloned().collect()));
+            }
+        }
+        if let Some(o) = oobj {
+            for (reference, targets) in &o.refs {
+                let still_set = nobj
+                    .refs
+                    .get(reference)
+                    .is_some_and(|t| live_keys(t, new_keys).next().is_some());
+                if live_keys(targets, old_keys).next().is_some() && !still_set {
+                    updates.push(set_refs(reference, Vec::new()));
+                }
+            }
         }
     }
 
+    deletes.extend(olds.map(|(gone, _)| Change::Delete { key: gone.clone() }));
     let mut changes = creates;
     changes.extend(updates);
     changes.extend(deletes);
     ChangeList { changes }
 }
 
+/// The keys of a reference slot's live targets, in slot order.
+fn live_keys<'a>(
+    targets: &'a [ObjectId],
+    keys: &'a KeyIndex,
+) -> impl Iterator<Item = &'a ObjectKey> + 'a {
+    targets.iter().filter_map(|t| keys.key(*t))
+}
+
+/// An object's attribute slot, `None` when unset or empty.
+fn attr_slot<'a>(obj: &'a MObject, attr: &str) -> Option<&'a Vec<Value>> {
+    obj.attrs.get(attr).filter(|v| !v.is_empty())
+}
+
 /// Applies a change list to a model in place.
 pub fn apply(model: &mut Model, changes: &ChangeList, opts: &DiffOptions) -> Result<()> {
     // key -> id index, kept up to date as creations/deletions happen.
-    let mut index: BTreeMap<ObjectKey, ObjectId> = keys_of(model, opts)
-        .into_iter()
-        .map(|(id, k)| (k, id))
-        .collect();
-
-    // Positional keys (`~N`) must be assigned on creation too: track next
-    // ordinal per class.
-    let mut next_ordinal: BTreeMap<String, u32> = BTreeMap::new();
-    for key in index.keys() {
-        if let Some(n) = key
-            .key
-            .strip_prefix('~')
-            .and_then(|s| s.parse::<u32>().ok())
-        {
-            let e = next_ordinal.entry(key.class.clone()).or_insert(0);
-            *e = (*e).max(n + 1);
-        }
-    }
+    let mut index = KeyIndex::new(model, opts).ids;
 
     let resolve = |index: &BTreeMap<ObjectKey, ObjectId>, key: &ObjectKey| -> Result<ObjectId> {
         index
@@ -343,9 +358,7 @@ pub fn apply(model: &mut Model, changes: &ChangeList, opts: &DiffOptions) -> Res
 
     // Keyed objects must remain unique; catch collisions introduced by
     // attribute edits that changed a key attribute.
-    let keys = keys_of(model, opts);
-    let distinct: BTreeSet<_> = keys.values().collect();
-    if distinct.len() != keys.len() {
+    if KeyIndex::new(model, opts).duplicate.is_some() {
         return Err(MetaError::ApplyFailed(
             "duplicate object keys after apply".into(),
         ));
@@ -502,7 +515,7 @@ mod tests {
         let o = m.create("X");
         m.set_attr(o, "name", Value::from("n"));
         m.set_attr(o, "id", Value::from("i"));
-        let keys = keys_of(&m, &opts());
-        assert_eq!(keys[&o].key, "\"i\"");
+        let keys = KeyIndex::new(&m, &opts());
+        assert_eq!(keys.key(o).unwrap().key, "\"i\"");
     }
 }

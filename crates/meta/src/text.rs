@@ -23,6 +23,7 @@
 use crate::error::MetaError;
 use crate::model::{Model, ObjectId};
 use crate::{Result, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -83,12 +84,13 @@ fn ident_or_str(s: &str) -> String {
 
 // ---------------------------------------------------------------- lexing
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+#[derive(Debug, PartialEq)]
+enum Tok<'s> {
+    Ident(&'s str),
     Int(i64),
     Float(f64),
-    Str(String),
+    /// A string literal; owned only when it holds an escape.
+    Str(Cow<'s, str>),
     LBrace,
     RBrace,
     LBracket,
@@ -101,215 +103,212 @@ enum Tok {
     Eof,
 }
 
-struct Lexed {
-    toks: Vec<(Tok, u32, u32)>,
+/// A token and the 1-based line and column (in chars) where it starts.
+type Spanned<'s> = (Tok<'s>, u32, u32);
+
+/// A cursor over the source text that keeps the line and column.
+struct Lexer<'s> {
+    src: &'s str,
+    /// Byte offset of the next char.
+    i: usize,
+    line: u32,
+    col: u32,
 }
 
-fn lex(src: &str) -> Result<Lexed> {
-    let chars: Vec<char> = src.chars().collect();
-    let mut toks = Vec::new();
-    let (mut i, mut line, mut col) = (0usize, 1u32, 1u32);
-    let err = |line: u32, col: u32, message: String| MetaError::Syntax { line, col, message };
-    while i < chars.len() {
-        let c = chars[i];
-        let (tl, tc) = (line, col);
-        match c {
-            '\n' => {
-                line += 1;
-                col = 1;
-                i += 1;
-            }
-            c if c.is_whitespace() => {
-                i += 1;
-                col += 1;
-            }
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '{' => {
-                toks.push((Tok::LBrace, tl, tc));
-                i += 1;
-                col += 1;
-            }
-            '}' => {
-                toks.push((Tok::RBrace, tl, tc));
-                i += 1;
-                col += 1;
-            }
-            '[' => {
-                toks.push((Tok::LBracket, tl, tc));
-                i += 1;
-                col += 1;
-            }
-            ']' => {
-                toks.push((Tok::RBracket, tl, tc));
-                i += 1;
-                col += 1;
-            }
-            '=' => {
-                toks.push((Tok::Eq, tl, tc));
-                i += 1;
-                col += 1;
-            }
-            ',' => {
-                toks.push((Tok::Comma, tl, tc));
-                i += 1;
-                col += 1;
-            }
-            '-' => {
-                if chars.get(i + 1) == Some(&'>') {
-                    toks.push((Tok::Arrow, tl, tc));
-                    i += 2;
-                    col += 2;
-                } else {
-                    toks.push((Tok::Minus, tl, tc));
-                    i += 1;
-                    col += 1;
-                }
-            }
-            ':' => {
-                if chars.get(i + 1) == Some(&':') {
-                    toks.push((Tok::ColonColon, tl, tc));
-                    i += 2;
-                    col += 2;
-                } else {
-                    return Err(err(tl, tc, "expected `::`".into()));
-                }
-            }
-            '"' => {
-                let mut s = String::new();
-                i += 1;
-                col += 1;
-                loop {
-                    match chars.get(i) {
-                        None => return Err(err(tl, tc, "unterminated string".into())),
-                        Some('"') => {
-                            i += 1;
-                            col += 1;
-                            break;
-                        }
-                        Some('\\') => {
-                            match chars.get(i + 1) {
-                                Some('"') => s.push('"'),
-                                Some('\\') => s.push('\\'),
-                                Some('n') => s.push('\n'),
-                                Some('t') => s.push('\t'),
-                                other => {
-                                    return Err(err(
-                                        line,
-                                        col,
-                                        format!("bad escape `\\{}`", other.unwrap_or(&' ')),
-                                    ))
-                                }
-                            }
-                            i += 2;
-                            col += 2;
-                        }
-                        Some(c) => {
-                            s.push(*c);
-                            if *c == '\n' {
-                                line += 1;
-                                col = 1;
-                            } else {
-                                col += 1;
-                            }
-                            i += 1;
-                        }
-                    }
-                }
-                toks.push((Tok::Str(s), tl, tc));
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    i += 1;
-                    col += 1;
-                }
-                let mut is_float = false;
-                if i < chars.len()
-                    && chars[i] == '.'
-                    && chars.get(i + 1).is_some_and(|c| c.is_ascii_digit())
-                {
-                    is_float = true;
-                    i += 1;
-                    col += 1;
-                    while i < chars.len() && chars[i].is_ascii_digit() {
-                        i += 1;
-                        col += 1;
-                    }
-                }
-                let text: String = chars[start..i].iter().collect();
-                if is_float {
-                    toks.push((
-                        Tok::Float(
-                            text.parse()
-                                .map_err(|e| err(tl, tc, format!("bad float: {e}")))?,
-                        ),
-                        tl,
-                        tc,
-                    ));
-                } else {
-                    toks.push((
-                        Tok::Int(
-                            text.parse()
-                                .map_err(|e| err(tl, tc, format!("bad int: {e}")))?,
-                        ),
-                        tl,
-                        tc,
-                    ));
-                }
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                    col += 1;
-                }
-                toks.push((Tok::Ident(chars[start..i].iter().collect()), tl, tc));
-            }
-            other => return Err(err(tl, tc, format!("unexpected character `{other}`"))),
+impl<'s> Lexer<'s> {
+    fn peek(&self) -> Option<char> {
+        self.src[self.i..].chars().next()
+    }
+
+    /// The byte `ahead` bytes past the next char's start.
+    fn byte(&self, ahead: usize) -> Option<u8> {
+        self.src.as_bytes().get(self.i + ahead).copied()
+    }
+
+    fn bump(&mut self) -> Option<char> {
+        let c = self.peek()?;
+        self.i += c.len_utf8();
+        if c == '\n' {
+            self.line += 1;
+            self.col = 1;
+        } else {
+            self.col += 1;
+        }
+        Some(c)
+    }
+
+    /// Consumes chars while `f` holds and returns them.
+    fn bump_while(&mut self, f: impl Fn(char) -> bool) -> &'s str {
+        let start = self.i;
+        while self.peek().is_some_and(&f) {
+            self.bump();
+        }
+        &self.src[start..self.i]
+    }
+
+    /// Consumes `n` ASCII chars of punctuation and returns `tok`.
+    fn punct(&mut self, n: u32, tok: Tok<'s>) -> Tok<'s> {
+        self.i += n as usize;
+        self.col += n;
+        tok
+    }
+
+    /// An unsigned int or float literal (the sign is the parser's).
+    fn number(&mut self) -> std::result::Result<Tok<'s>, String> {
+        let start = self.i;
+        self.bump_while(|c| c.is_ascii_digit());
+        let is_float =
+            self.byte(0) == Some(b'.') && self.byte(1).is_some_and(|b| b.is_ascii_digit());
+        if is_float {
+            self.bump();
+            self.bump_while(|c| c.is_ascii_digit());
+        }
+        let text = &self.src[start..self.i];
+        if is_float {
+            text.parse()
+                .map(Tok::Float)
+                .map_err(|e| format!("bad float: {e}"))
+        } else {
+            text.parse()
+                .map(Tok::Int)
+                .map_err(|e| format!("bad int: {e}"))
         }
     }
-    toks.push((Tok::Eof, line, col));
-    Ok(Lexed { toks })
+
+    /// A string literal whose opening quote is next and sits at
+    /// `line:col`. It borrows from the source unless it holds an escape.
+    fn string(&mut self, line: u32, col: u32) -> Result<Cow<'s, str>> {
+        self.bump();
+        // Start of the escape-free run being scanned.
+        let mut run = self.i;
+        let mut unescaped: Option<String> = None;
+        loop {
+            match self.peek() {
+                None => {
+                    return Err(MetaError::Syntax {
+                        line,
+                        col,
+                        message: "unterminated string".into(),
+                    })
+                }
+                Some('"') => {
+                    let tail = &self.src[run..self.i];
+                    self.bump();
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(tail),
+                        Some(s) => Cow::Owned(s + tail),
+                    });
+                }
+                Some('\\') => {
+                    let (bl, bc) = (self.line, self.col);
+                    let s = unescaped.get_or_insert_with(String::new);
+                    s.push_str(&self.src[run..self.i]);
+                    self.bump();
+                    s.push(match self.bump() {
+                        Some('"') => '"',
+                        Some('\\') => '\\',
+                        Some('n') => '\n',
+                        Some('t') => '\t',
+                        other => {
+                            return Err(MetaError::Syntax {
+                                line: bl,
+                                col: bc,
+                                message: format!("bad escape `\\{}`", other.unwrap_or(' ')),
+                            })
+                        }
+                    });
+                    run = self.i;
+                }
+                Some(_) => {
+                    self.bump();
+                }
+            }
+        }
+    }
+}
+
+/// Splits `src` into tokens, the last one `Eof`.
+fn lex(src: &str) -> Result<Vec<Spanned<'_>>> {
+    let mut lx = Lexer {
+        src,
+        i: 0,
+        line: 1,
+        col: 1,
+    };
+    // Model text runs about four bytes per token.
+    let mut toks = Vec::with_capacity(src.len() / 4);
+    while let Some(c) = lx.peek() {
+        let (line, col) = (lx.line, lx.col);
+        let err = |message| MetaError::Syntax { line, col, message };
+        let tok = match c {
+            c if c.is_whitespace() => {
+                lx.bump();
+                continue;
+            }
+            '/' if lx.byte(1) == Some(b'/') => {
+                // Up to the newline, which resets the column; a comment
+                // that ends the input leaves the column where it began.
+                lx.i = src[lx.i..].find('\n').map_or(src.len(), |n| lx.i + n);
+                continue;
+            }
+            '{' => lx.punct(1, Tok::LBrace),
+            '}' => lx.punct(1, Tok::RBrace),
+            '[' => lx.punct(1, Tok::LBracket),
+            ']' => lx.punct(1, Tok::RBracket),
+            '=' => lx.punct(1, Tok::Eq),
+            ',' => lx.punct(1, Tok::Comma),
+            '-' if lx.byte(1) == Some(b'>') => lx.punct(2, Tok::Arrow),
+            '-' => lx.punct(1, Tok::Minus),
+            ':' if lx.byte(1) == Some(b':') => lx.punct(2, Tok::ColonColon),
+            ':' => return Err(err("expected `::`".into())),
+            '"' => Tok::Str(lx.string(line, col)?),
+            c if c.is_ascii_digit() => lx.number().map_err(err)?,
+            c if c.is_alphabetic() || c == '_' => {
+                Tok::Ident(lx.bump_while(|c| c.is_alphanumeric() || c == '_'))
+            }
+            other => return Err(err(format!("unexpected character `{other}`"))),
+        };
+        toks.push((tok, line, col));
+    }
+    toks.push((Tok::Eof, lx.line, lx.col));
+    Ok(toks)
 }
 
 // ---------------------------------------------------------------- parsing
 
 /// Parses a model from its textual form.
 pub fn parse(src: &str) -> Result<Model> {
-    let lexed = lex(src)?;
-    let mut p = P {
-        toks: &lexed.toks,
-        pos: 0,
-    };
-    p.model()
+    let mut toks = lex(src)?.into_iter();
+    let cur = toks.next().expect("the token stream ends with `Eof`");
+    P { toks, cur }.model()
 }
 
-struct P<'a> {
-    toks: &'a [(Tok, u32, u32)],
-    pos: usize,
+struct P<'s> {
+    toks: std::vec::IntoIter<Spanned<'s>>,
+    /// The current token; `Eof` stays current once reached.
+    cur: Spanned<'s>,
 }
 
-impl<'a> P<'a> {
-    fn peek(&self) -> &(Tok, u32, u32) {
-        &self.toks[self.pos.min(self.toks.len() - 1)]
+impl<'s> P<'s> {
+    /// Moves past the current token.
+    fn bump(&mut self) {
+        if let Some(next) = self.toks.next() {
+            self.cur = next;
+        }
     }
 
     fn err(&self, message: impl Into<String>) -> MetaError {
-        let (_, line, col) = self.peek();
+        let (_, line, col) = self.cur;
         MetaError::Syntax {
-            line: *line,
-            col: *col,
+            line,
+            col,
             message: message.into(),
         }
     }
 
     fn eat(&mut self, t: &Tok) -> bool {
-        if &self.peek().0 == t {
-            self.pos += 1;
+        if self.cur.0 == *t {
+            self.bump();
             true
         } else {
             false
@@ -324,26 +323,21 @@ impl<'a> P<'a> {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String> {
-        match &self.peek().0 {
-            Tok::Ident(s) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            Tok::Str(s) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(self.err(format!("expected {what}"))),
-        }
+    /// An identifier or a string, moved out of the token stream.
+    fn ident(&mut self, what: &str) -> Result<Cow<'s, str>> {
+        let s = match &mut self.cur.0 {
+            Tok::Ident(s) => Cow::Borrowed(*s),
+            Tok::Str(s) => std::mem::take(s),
+            _ => return Err(self.err(format!("expected {what}"))),
+        };
+        self.bump();
+        Ok(s)
     }
 
     fn kw(&mut self, kw: &str) -> Result<()> {
-        match &self.peek().0 {
+        match self.cur.0 {
             Tok::Ident(s) if s == kw => {
-                self.pos += 1;
+                self.bump();
                 Ok(())
             }
             _ => Err(self.err(format!("expected keyword `{kw}`"))),
@@ -359,14 +353,14 @@ impl<'a> P<'a> {
 
         // A local reference: target local id plus the source line/column
         // for error reporting.
-        type LocalRef = (String, u32, u32);
+        type LocalRef<'s> = (Cow<'s, str>, u32, u32);
         let mut model = Model::new(mm);
-        let mut local: BTreeMap<String, ObjectId> = BTreeMap::new();
+        let mut local: BTreeMap<Cow<'s, str>, ObjectId> = BTreeMap::new();
         // (object, slot, local ids) resolved after all objects are created.
-        let mut pending_refs: Vec<(ObjectId, String, Vec<LocalRef>)> = Vec::new();
+        let mut pending_refs: Vec<(ObjectId, Cow<'s, str>, Vec<LocalRef<'s>>)> = Vec::new();
 
         while !self.eat(&Tok::RBrace) {
-            if self.peek().0 == Tok::Eof {
+            if self.cur.0 == Tok::Eof {
                 return Err(self.err("unexpected end of input (unclosed model block)"));
             }
             let class = self.ident("class name")?;
@@ -378,7 +372,7 @@ impl<'a> P<'a> {
             local.insert(lid, id);
             self.expect(&Tok::LBrace, "`{` opening object body")?;
             while !self.eat(&Tok::RBrace) {
-                if self.peek().0 == Tok::Eof {
+                if self.cur.0 == Tok::Eof {
                     return Err(self.err("unexpected end of input (unclosed object body)"));
                 }
                 let slot = self.ident("slot name")?;
@@ -423,8 +417,8 @@ impl<'a> P<'a> {
         Ok(model)
     }
 
-    fn local_ref(&mut self) -> Result<(String, u32, u32)> {
-        let (_, line, col) = *self.peek();
+    fn local_ref(&mut self) -> Result<(Cow<'s, str>, u32, u32)> {
+        let (_, line, col) = self.cur;
         let lid = self.ident("object id")?;
         Ok((lid, line, col))
     }
@@ -447,48 +441,32 @@ impl<'a> P<'a> {
     }
 
     fn value(&mut self) -> Result<Value> {
-        let (tok, _, _) = self.peek().clone();
-        match tok {
-            Tok::Int(i) => {
-                self.pos += 1;
-                Ok(Value::Int(i))
-            }
-            Tok::Float(x) => {
-                self.pos += 1;
-                Ok(Value::Float(x))
-            }
-            Tok::Str(s) => {
-                self.pos += 1;
-                Ok(Value::Str(s))
-            }
-            Tok::Minus => {
-                self.pos += 1;
-                match self.peek().0.clone() {
-                    Tok::Int(i) => {
-                        self.pos += 1;
-                        Ok(Value::Int(-i))
-                    }
-                    Tok::Float(x) => {
-                        self.pos += 1;
-                        Ok(Value::Float(-x))
-                    }
-                    _ => Err(self.err("expected number after `-`")),
-                }
-            }
-            Tok::Ident(name) => {
-                self.pos += 1;
-                match name.as_str() {
-                    "true" => Ok(Value::Bool(true)),
-                    "false" => Ok(Value::Bool(false)),
-                    _ => {
-                        self.expect(&Tok::ColonColon, "`::` (enum literal)")?;
-                        let lit = self.ident("enum literal")?;
-                        Ok(Value::Enum(name, lit))
-                    }
-                }
-            }
-            _ => Err(self.err("expected value")),
+        if self.eat(&Tok::Minus) {
+            let value = match self.cur.0 {
+                Tok::Int(i) => Value::Int(-i),
+                Tok::Float(x) => Value::Float(-x),
+                _ => return Err(self.err("expected number after `-`")),
+            };
+            self.bump();
+            return Ok(value);
         }
+        let value = match &mut self.cur.0 {
+            Tok::Int(i) => Value::Int(*i),
+            Tok::Float(x) => Value::Float(*x),
+            Tok::Str(s) => Value::Str(std::mem::take(s).into_owned()),
+            Tok::Ident("true") => Value::Bool(true),
+            Tok::Ident("false") => Value::Bool(false),
+            Tok::Ident(name) => {
+                let name = name.to_string();
+                self.bump();
+                self.expect(&Tok::ColonColon, "`::` (enum literal)")?;
+                let lit = self.ident("enum literal")?;
+                return Ok(Value::Enum(name, lit.into_owned()));
+            }
+            _ => return Err(self.err("expected value")),
+        };
+        self.bump();
+        Ok(value)
     }
 }
 

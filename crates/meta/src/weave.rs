@@ -16,7 +16,7 @@
 //!
 //! [`ObjectKey`]: crate::diff::ObjectKey
 
-use crate::diff::{keys_of, DiffOptions, ObjectKey};
+use crate::diff::{DiffOptions, KeyIndex, ObjectKey};
 use crate::error::MetaError;
 use crate::model::{Model, ObjectId};
 use crate::Result;
@@ -83,35 +83,32 @@ pub fn weave_or_err(models: &[Model]) -> Result<Model> {
 
 fn weave_into(woven: &mut Model, incoming: &Model, conflicts: &mut Vec<WeaveConflict>) {
     let opts = DiffOptions::default();
-    let woven_keys: BTreeMap<ObjectKey, ObjectId> = keys_of(woven, &opts)
-        .into_iter()
-        .map(|(id, k)| (k, id))
-        .collect();
-    let incoming_keys = keys_of(incoming, &opts);
+    let woven_keys = KeyIndex::new(woven, &opts);
+    let incoming_keys = KeyIndex::new(incoming, &opts);
+    let key_of = |id| incoming_keys.key(id).expect("live object is indexed");
 
     // First pass: create missing objects, remember the id mapping.
     let mut id_map: BTreeMap<ObjectId, ObjectId> = BTreeMap::new();
-    for (in_id, key) in &incoming_keys {
-        match woven_keys.get(key) {
+    for (in_id, obj) in incoming.iter() {
+        match woven_keys.id(key_of(in_id)) {
             Some(existing) => {
-                id_map.insert(*in_id, *existing);
+                id_map.insert(in_id, existing);
             }
             None => {
-                let obj = incoming.object(*in_id).expect("key of live object");
                 let new_id = woven.create(obj.class.clone());
                 for (attr, values) in &obj.attrs {
                     woven.set_attr_many(new_id, attr.clone(), values.clone());
                 }
-                id_map.insert(*in_id, new_id);
+                id_map.insert(in_id, new_id);
             }
         }
     }
 
     // Second pass: merge attributes of matched objects and union refs.
-    for (in_id, key) in &incoming_keys {
-        let target = id_map[in_id];
-        let obj = incoming.object(*in_id).expect("key of live object");
-        if woven_keys.contains_key(key) {
+    for (in_id, obj) in incoming.iter() {
+        let target = id_map[&in_id];
+        let key = key_of(in_id);
+        if woven_keys.id(key).is_some() {
             for (attr, values) in &obj.attrs {
                 let existing = woven.attr_all(target, attr);
                 if existing.is_empty() {

@@ -7,12 +7,12 @@
 //! workload class, on the virtual clock — requests arrive when the model
 //! says they arrive, whether or not the middleware has kept up.
 //!
-//! Load spikes are fault-plan events: [`FaultPlanBuilder::load_spike`]
+//! Load spikes are fault-plan events:
+//! [`FaultPlanBuilder::load_spike`](crate::fault::FaultPlanBuilder::load_spike)
 //! multiplies a class's arrival rate from an instant on, and
-//! [`FaultPlanBuilder::load_normal`] restores the baseline
-//! ([`FaultPlanBuilder`](crate::fault::FaultPlanBuilder)). The generator
-//! consumes those events in two ways, mirroring the two [`FaultDriver`]
-//! styles:
+//! [`FaultPlanBuilder::load_normal`](crate::fault::FaultPlanBuilder::load_normal)
+//! restores the baseline. The generator consumes those events in two ways,
+//! mirroring the two [`FaultDriver`](crate::fault::FaultDriver) styles:
 //!
 //! * **Offline**: [`ArrivalGenerator::schedule_under`] compiles a plan's
 //!   load events into a complete, time-sorted arrival schedule up to a

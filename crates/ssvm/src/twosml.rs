@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn lts_installs_rule_scripts() {
-        use mddsm_meta::diff::{diff, DiffOptions};
+        use mddsm_meta::diff::{diff, DiffOptions, KeyIndex};
         use mddsm_synthesis::{ChangeInterpreter, InterpreterConfig};
         let mm = twosml_metamodel();
         let mut interp = ChangeInterpreter::new(twosml_lts(), InterpreterConfig::default());
@@ -143,7 +143,14 @@ mod tests {
         new.set_attr(rule, "object", Value::from("lamp1"));
         new.set_attr(rule, "action", Value::from("off"));
         let changes = diff(&old, &new, &DiffOptions::default());
-        let out = interp.interpret(&changes, &new, &mm).unwrap();
+        let out = interp
+            .interpret(
+                &changes,
+                &new,
+                &KeyIndex::new(&new, &DiffOptions::default()),
+                &mm,
+            )
+            .unwrap();
         assert!(out.immediate.is_empty());
         assert_eq!(out.installed.len(), 1);
         let script = &out.installed[0];

@@ -4,7 +4,7 @@
 use crate::interpreter::{ChangeInterpreter, Interpretation};
 use crate::{Result, SynthesisError};
 use mddsm_meta::conformance;
-use mddsm_meta::diff::{diff, DiffOptions};
+use mddsm_meta::diff::{diff_indexed, DiffOptions, KeyIndex};
 use mddsm_meta::metamodel::Metamodel;
 use mddsm_meta::model::Model;
 use std::sync::Arc;
@@ -16,15 +16,19 @@ use std::sync::Arc;
 /// model submissions flow through [`SynthesisEngine::submit`]:
 ///
 /// 1. validate the new model against the DSML metamodel (conformance and
-///    invariants);
+///    invariants) and check that its object keys are unique;
 /// 2. compare it with the current runtime model (the *model comparator*);
 /// 3. interpret the change list through the LTS (the *change interpreter*);
 /// 4. install the new model as current (the *dispatcher*).
+///
+/// The key index of the current model is kept with it, so a submission
+/// indexes only the new model.
 pub struct SynthesisEngine {
     metamodel: Arc<Metamodel>,
     interpreter: ChangeInterpreter,
     current: Model,
-    diff_opts: DiffOptions,
+    /// Key index of `current`; the two are only ever replaced together.
+    current_keys: KeyIndex,
     submissions: u64,
 }
 
@@ -36,7 +40,7 @@ impl SynthesisEngine {
             metamodel,
             interpreter,
             current,
-            diff_opts: DiffOptions::default(),
+            current_keys: KeyIndex::default(),
             submissions: 0,
         }
     }
@@ -62,7 +66,8 @@ impl SynthesisEngine {
     }
 
     /// Submits a new user model; on success the model becomes current and
-    /// the resulting scripts are returned.
+    /// the resulting scripts are returned. On any error the engine is left
+    /// as it was: same current model, same LTS state.
     pub fn submit(&mut self, new_model: Model) -> Result<Interpretation> {
         if new_model.metamodel_name() != self.metamodel.name() {
             return Err(SynthesisError::InvalidModel(format!(
@@ -73,11 +78,18 @@ impl SynthesisEngine {
         }
         conformance::check(&new_model, &self.metamodel)
             .map_err(|e| SynthesisError::InvalidModel(e.to_string()))?;
-        let changes = diff(&self.current, &new_model, &self.diff_opts);
+        let keys = KeyIndex::new(&new_model, &DiffOptions::default());
+        if let Some(key) = keys.duplicate() {
+            return Err(SynthesisError::InvalidModel(format!(
+                "two objects share the key {key}"
+            )));
+        }
+        let changes = diff_indexed(&self.current, &self.current_keys, &new_model, &keys);
         let out = self
             .interpreter
-            .interpret(&changes, &new_model, &self.metamodel)?;
+            .interpret(&changes, &new_model, &keys, &self.metamodel)?;
         self.current = new_model;
+        self.current_keys = keys;
         self.submissions += 1;
         Ok(out)
     }
@@ -91,6 +103,7 @@ impl SynthesisEngine {
     /// Clears the runtime model and resets the LTS — a full restart.
     pub fn reset(&mut self) {
         self.current = Model::new(self.metamodel.name());
+        self.current_keys = KeyIndex::default();
         self.interpreter.reset();
     }
 }
@@ -108,7 +121,7 @@ impl std::fmt::Debug for SynthesisEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interpreter::InterpreterConfig;
+    use crate::interpreter::{InterpreterConfig, UnmatchedPolicy};
     use crate::lts::{ChangePattern, CommandTemplate, LtsBuilder};
     use mddsm_meta::metamodel::{DataType, MetamodelBuilder, Multiplicity};
     use mddsm_meta::Value;
@@ -187,6 +200,71 @@ mod tests {
         assert!(e.current_model().is_empty());
         assert_eq!(e.lts_state(), "idle");
         assert_eq!(e.submissions(), 0);
+    }
+
+    /// Snapshot of everything a failed submission must leave untouched.
+    fn state_of(e: &SynthesisEngine) -> (String, Model, KeyIndex, u64) {
+        (
+            e.lts_state().to_owned(),
+            e.current_model().clone(),
+            e.current_keys.clone(),
+            e.submissions(),
+        )
+    }
+
+    #[test]
+    fn failed_interpretation_leaves_engine_unchanged() {
+        // A new Party moves the LTS to `busy`, where its `name` has no
+        // transition: the submission fails half-way through its changes.
+        let lts = LtsBuilder::new()
+            .state("idle")
+            .state("open")
+            .state("busy")
+            .initial("idle")
+            .transition("idle", "open", ChangePattern::create("Session"), |t| t)
+            .transition(
+                "open",
+                "open",
+                ChangePattern::set_attr("Session", "name"),
+                |t| t,
+            )
+            .transition("open", "busy", ChangePattern::create("Party"), |t| t)
+            .build()
+            .unwrap();
+        let config = InterpreterConfig {
+            unmatched: UnmatchedPolicy::Error,
+        };
+        let mut e = SynthesisEngine::new(mm(), ChangeInterpreter::new(lts, config));
+        let m1 = model_with_session();
+        e.submit(m1.clone()).unwrap();
+        let before = state_of(&e);
+        assert_eq!(before.0, "open");
+        assert_eq!(before.2, KeyIndex::new(&m1, &DiffOptions::default()));
+
+        let mut m2 = m1;
+        let p = m2.create("Party");
+        m2.set_attr(p, "name", Value::from("ana"));
+        let err = e.submit(m2).unwrap_err();
+        assert!(matches!(err, SynthesisError::UnmatchedChange(_)), "{err}");
+        assert_eq!(state_of(&e), before);
+    }
+
+    #[test]
+    fn duplicate_keys_rejected_and_state_unchanged() {
+        let mut e = engine();
+        e.submit(model_with_session()).unwrap();
+        let before = state_of(&e);
+        let mut m = model_with_session();
+        for _ in 0..2 {
+            let p = m.create("Party");
+            m.set_attr(p, "name", Value::from("ana"));
+        }
+        let err = e.submit(m).unwrap_err();
+        assert_eq!(
+            err,
+            SynthesisError::InvalidModel("two objects share the key Party[\"ana\"]".into())
+        );
+        assert_eq!(state_of(&e), before);
     }
 
     #[test]

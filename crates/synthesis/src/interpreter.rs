@@ -5,7 +5,7 @@ use crate::lts::{ChangeKind, Label, Lts, StateId};
 use crate::script::{Command, ControlScript, EventTrigger};
 use crate::{Result, SynthesisError};
 use mddsm_meta::constraint::{eval_bool, EvalEnv, Val};
-use mddsm_meta::diff::{keys_of, Change, ChangeList, DiffOptions};
+use mddsm_meta::diff::{Change, ChangeList, KeyIndex};
 use mddsm_meta::metamodel::Metamodel;
 use mddsm_meta::model::Model;
 use mddsm_meta::Value;
@@ -66,20 +66,19 @@ impl ChangeInterpreter {
         self.state = self.lts.initial();
     }
 
-    /// Interprets a change list against the *new* model, producing control
-    /// scripts. First enabled transition (declaration order) wins per
-    /// change.
+    /// Interprets a change list against the *new* model, whose key index
+    /// is `new_keys`, producing control scripts. First enabled transition
+    /// (declaration order) wins per change. The LTS moves only if the whole
+    /// list is interpreted; on an error it stays where it was.
     pub fn interpret(
         &mut self,
         changes: &ChangeList,
         new_model: &Model,
+        new_keys: &KeyIndex,
         mm: &Metamodel,
     ) -> Result<Interpretation> {
         let mut out = Interpretation::default();
-        let key_index: BTreeMap<_, _> = keys_of(new_model, &DiffOptions::default())
-            .into_iter()
-            .map(|(id, k)| (k, id))
-            .collect();
+        let mut state = self.state;
         // Objects created by this very change list ("new" objects, whose
         // initial SetAttr/SetRefs changes `existing_only` patterns skip).
         let created: std::collections::BTreeSet<_> = changes
@@ -95,8 +94,8 @@ impl ChangeInterpreter {
             // Expose the changed object's attribute values (from the new
             // model) as `attr_<name>` so command templates can carry domain
             // data, e.g. `$attr_action` for an automation rule's action.
-            if let Some(id) = key_index.get(change.subject()) {
-                if let Ok(obj) = new_model.object(*id) {
+            if let Some(id) = new_keys.id(change.subject()) {
+                if let Ok(obj) = new_model.object(id) {
                     // Declared defaults first, so explicit values override.
                     for attr in mm.all_attributes(&obj.class) {
                         if let Some(d) = attr.default.first() {
@@ -125,23 +124,12 @@ impl ChangeInterpreter {
                     }
                 }
             }
-            let mut taken = false;
-            // Candidate transition indices, collected first because taking
-            // one mutates `self.state`.
-            let candidates: Vec<usize> = self
-                .lts
-                .transitions
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| {
-                    t.from == self.state
-                        && matches!(&t.label, Label::Change(p) if p.matches_in(change, &created))
-                })
-                .map(|(i, _)| i)
-                .collect();
-
-            for idx in candidates {
-                let t = &self.lts.transitions[idx];
+            let mut next = None;
+            let candidates = self.lts.transitions.iter().filter(|t| {
+                t.from == state
+                    && matches!(&t.label, Label::Change(p) if p.matches_in(change, &created))
+            });
+            for t in candidates {
                 if let Some(guard) = &t.guard {
                     let mut env = EvalEnv::new(new_model, mm);
                     for (k, v) in &vars {
@@ -149,8 +137,8 @@ impl ChangeInterpreter {
                     }
                     // Bind `self` to the changed object when it still
                     // exists in the new model.
-                    if let Some(id) = key_index.get(change.subject()) {
-                        env.bind("self", Val::Obj(*id));
+                    if let Some(id) = new_keys.id(change.subject()) {
+                        env.bind("self", Val::Obj(id));
                     }
                     match eval_bool(guard, &env) {
                         Ok(true) => {}
@@ -171,18 +159,19 @@ impl ChangeInterpreter {
                         commands,
                     )),
                 }
-                self.state = t.to;
-                taken = true;
+                next = Some(t.to);
                 break;
             }
 
-            if !taken {
+            if let Some(to) = next {
+                state = to;
+            } else {
                 match self.config.unmatched {
                     UnmatchedPolicy::Skip => {}
                     UnmatchedPolicy::Error => {
                         return Err(SynthesisError::UnmatchedChange(format!(
                             "{change:?} in state `{}`",
-                            self.state_name()
+                            self.lts.state_name(state)
                         )))
                     }
                     UnmatchedPolicy::Passthrough => {
@@ -203,6 +192,7 @@ impl ChangeInterpreter {
                 }
             }
         }
+        self.state = state;
         Ok(out)
     }
 
@@ -277,8 +267,12 @@ fn render_value(v: &Value) -> String {
 mod tests {
     use super::*;
     use crate::lts::{ChangePattern, CommandTemplate, LtsBuilder};
-    use mddsm_meta::diff::diff;
+    use mddsm_meta::diff::{diff, DiffOptions};
     use mddsm_meta::metamodel::{DataType, MetamodelBuilder, Multiplicity};
+
+    fn keys(m: &Model) -> KeyIndex {
+        KeyIndex::new(m, &DiffOptions::default())
+    }
 
     fn mm() -> Metamodel {
         MetamodelBuilder::new("cml")
@@ -337,7 +331,7 @@ mod tests {
         let old = Model::new("cml");
         let new = session_model(false, 0);
         let changes = diff(&old, &new, &DiffOptions::default());
-        let out = interp.interpret(&changes, &new, &mm).unwrap();
+        let out = interp.interpret(&changes, &new, &keys(&new), &mm).unwrap();
         assert_eq!(out.immediate.render(), "openSession@Session[\"s1\"]()");
         assert_eq!(interp.state_name(), "open");
     }
@@ -351,11 +345,15 @@ mod tests {
             let empty = Model::new("cml");
             let base = session_model(false, 0);
             let changes = diff(&empty, &base, &DiffOptions::default());
-            let first = interp.interpret(&changes, &base, &mm).unwrap();
+            let first = interp
+                .interpret(&changes, &base, &keys(&base), &mm)
+                .unwrap();
             assert_eq!(first.immediate.render(), "openSession@Session[\"s1\"]()");
             let withparty = session_model(true, bw);
             let changes = diff(&base, &withparty, &DiffOptions::default());
-            interp.interpret(&changes, &withparty, &mm).unwrap()
+            interp
+                .interpret(&changes, &withparty, &keys(&withparty), &mm)
+                .unwrap()
         };
         // Party with bw=0 fails the guard -> addParty not emitted.
         let out = run(0);
@@ -383,7 +381,7 @@ mod tests {
 
         // Skip (default): nothing emitted.
         let mut interp = ChangeInterpreter::new(lts(), InterpreterConfig::default());
-        let out = interp.interpret(&changes, &new, &mm).unwrap();
+        let out = interp.interpret(&changes, &new, &keys(&new), &mm).unwrap();
         assert!(out.immediate.is_empty());
 
         // Error.
@@ -394,7 +392,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            interp.interpret(&changes, &new, &mm),
+            interp.interpret(&changes, &new, &keys(&new), &mm),
             Err(SynthesisError::UnmatchedChange(_))
         ));
 
@@ -405,11 +403,40 @@ mod tests {
                 unmatched: UnmatchedPolicy::Passthrough,
             },
         );
-        let out = interp.interpret(&changes, &new, &mm).unwrap();
+        let out = interp.interpret(&changes, &new, &keys(&new), &mm).unwrap();
         assert_eq!(out.immediate.len(), 1);
         assert_eq!(out.immediate.commands[0].name, "setAttr");
         assert_eq!(out.immediate.commands[0].arg("slot"), Some("kind"));
         assert_eq!(out.immediate.commands[0].arg("value"), Some("video"));
+    }
+
+    #[test]
+    fn failed_interpretation_does_not_move_the_lts() {
+        let mm = mm();
+        let mut interp = ChangeInterpreter::new(
+            lts(),
+            InterpreterConfig {
+                unmatched: UnmatchedPolicy::Error,
+            },
+        );
+        let old = Model::new("cml");
+        let mut new = Model::new("cml");
+        let s = new.create("Session");
+        new.set_attr(s, "name", Value::from("s1"));
+        new.create("Zed");
+        // `Create Session` matches and would move the LTS to `open`;
+        // `Create Zed` then matches nothing.
+        let changes = diff(&old, &new, &DiffOptions::default());
+        assert!(matches!(&changes.changes[0], Change::Create { key } if key.class == "Session"));
+        assert!(matches!(&changes.changes[1], Change::Create { key } if key.class == "Zed"));
+        let err = interp
+            .interpret(&changes, &new, &keys(&new), &mm)
+            .unwrap_err();
+        assert!(
+            matches!(&err, SynthesisError::UnmatchedChange(m) if m.contains("in state `open`")),
+            "{err:?}"
+        );
+        assert_eq!(interp.state_name(), "idle");
     }
 
     #[test]
@@ -419,7 +446,7 @@ mod tests {
         let old = Model::new("cml");
         let new = session_model(false, 0);
         let changes = diff(&old, &new, &DiffOptions::default());
-        interp.interpret(&changes, &new, &mm).unwrap();
+        interp.interpret(&changes, &new, &keys(&new), &mm).unwrap();
         assert_eq!(interp.state_name(), "open");
         let script = interp.interpret_event("sessionFailed").unwrap();
         assert_eq!(script.render(), "recover()");
@@ -436,9 +463,9 @@ mod tests {
         let old = Model::new("cml");
         let new = session_model(false, 0);
         let changes = diff(&old, &new, &DiffOptions::default());
-        interp.interpret(&changes, &new, &mm).unwrap();
+        interp.interpret(&changes, &new, &keys(&new), &mm).unwrap();
         let back = diff(&new, &old, &DiffOptions::default());
-        let out = interp.interpret(&back, &old, &mm).unwrap();
+        let out = interp.interpret(&back, &old, &keys(&old), &mm).unwrap();
         assert_eq!(out.immediate.render(), "closeSession@Session[\"s1\"]()");
         assert_eq!(interp.state_name(), "idle");
         interp.reset();
@@ -466,7 +493,7 @@ mod tests {
         let r = new.create("Rule");
         new.set_attr(r, "name", Value::from("r1"));
         let changes = diff(&old, &new, &DiffOptions::default());
-        let out = interp.interpret(&changes, &new, &mm).unwrap();
+        let out = interp.interpret(&changes, &new, &keys(&new), &mm).unwrap();
         assert!(out.immediate.is_empty());
         assert_eq!(out.installed.len(), 1);
         let t = out.installed[0].trigger.as_ref().unwrap();

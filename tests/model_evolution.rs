@@ -21,7 +21,7 @@ use bench::e14::{e14_model_v1, e14_model_v2, INVARIANTS};
 use mddsm::broker::{
     journal, recover_versioned, GenericBroker, LiveUpgrade, RestartPolicy, Supervisor,
 };
-use mddsm::meta::diff::{apply, diff, equivalent, Change, DiffOptions, ObjectKey};
+use mddsm::meta::diff::{apply, diff, equivalent, Change, DiffOptions, KeyIndex, ObjectKey};
 use mddsm::meta::{Model, Value};
 use mddsm::sim::resource::{args, Args, Outcome};
 use mddsm::sim::{LatencyModel, ResourceHub, SimRng};
@@ -55,9 +55,7 @@ fn diff_round_trips_across_seeded_mutations_of_the_corpus() {
                 // The reverse diff restores the original — provided the
                 // mutant kept object keys unique (keyed matching cannot
                 // tell duplicate-keyed objects apart, by design).
-                let keys = mddsm::meta::diff::keys_of(&new, &opts());
-                let distinct: std::collections::BTreeSet<_> = keys.values().collect();
-                if distinct.len() == keys.len() {
+                if KeyIndex::new(&new, &opts()).duplicate().is_none() {
                     let backward = diff(&new, &old, &opts());
                     let mut reverted = new.clone();
                     apply(&mut reverted, &backward, &opts())
