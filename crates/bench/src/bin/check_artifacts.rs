@@ -1,63 +1,46 @@
-//! Validates every `BENCH_*.json` artifact in the working directory.
+//! Validates the `BENCH_*.json` artifacts in a directory and, given a
+//! directory of committed copies, holds each artifact to its copy.
 //!
 //! ```text
-//! cargo run --release -p bench --bin check_artifacts
+//! cargo run --release -p bench --bin check_artifacts                   # artifacts in .
+//! cargo run --release -p bench --bin check_artifacts -- DIR GOLDEN_DIR # golden gate
 //! ```
 //!
 //! Exits non-zero if no artifacts are found, any file fails to parse, or
 //! an artifact is missing a key its experiment is required to carry
-//! (see `bench::artifacts::required_keys`).
+//! (see `bench::artifacts::required_keys`). With `GOLDEN_DIR`, it also
+//! fails when an artifact differs from its committed copy outside the
+//! `wall_clock` member, naming the key path of the first difference, and
+//! when a file exists on one side only.
+
+use std::path::Path;
 
 use bench::artifacts;
 
 fn main() {
-    let dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
-    let entries = match std::fs::read_dir(&dir) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("check_artifacts: cannot read `{dir}`: {e}");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let load = |dir: &str| {
+        artifacts::read_dir(Path::new(dir)).unwrap_or_else(|e| {
+            eprintln!("check_artifacts: {e}");
             std::process::exit(2);
-        }
+        })
     };
+    let fresh = load(args.first().map_or(".", String::as_str));
+    let golden = args.get(1).map(|dir| load(dir));
 
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        .collect();
-    names.sort();
-
-    if names.is_empty() {
-        eprintln!("check_artifacts: no BENCH_*.json files in `{dir}`");
-        std::process::exit(1);
-    }
-
-    let mut failures = 0usize;
-    for name in &names {
-        let path = format!("{dir}/{name}");
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("FAIL {name}: unreadable: {e}");
-                failures += 1;
-                continue;
+    match artifacts::check_set(&fresh, golden.as_ref()) {
+        Ok(passed) => {
+            for line in &passed {
+                println!("ok   {line}");
             }
-        };
-        match artifacts::check_artifact(name, &text) {
-            Ok(exp) => println!("ok   {name} (experiment {exp}, {} bytes)", text.len()),
-            Err(e) => {
+            println!("check_artifacts: all {} artifacts valid", passed.len());
+        }
+        Err(failed) => {
+            for e in &failed {
                 eprintln!("FAIL {e}");
-                failures += 1;
             }
+            eprintln!("check_artifacts: {} failure(s)", failed.len());
+            std::process::exit(1);
         }
     }
-
-    if failures > 0 {
-        eprintln!(
-            "check_artifacts: {failures}/{} artifacts failed",
-            names.len()
-        );
-        std::process::exit(1);
-    }
-    println!("check_artifacts: all {} artifacts valid", names.len());
 }

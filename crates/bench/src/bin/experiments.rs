@@ -1,75 +1,78 @@
-//! Regenerates every measurement of the paper's §VII evaluation.
+//! Regenerates every measurement of the paper's §VII evaluation and
+//! writes the `BENCH_*.json` artifact of each deterministic experiment
+//! (E1, E6–E15) into the working directory.
 //!
 //! ```text
 //! cargo run --release -p bench --bin experiments            # all experiments
 //! cargo run --release -p bench --bin experiments -- e3 e4   # a subset
-//! cargo run --release -p bench --bin experiments -- quick   # CI-sized run
 //! ```
+//!
+//! Each experiment runs at the one size its committed artifact records;
+//! `check_artifacts` holds a fresh run to the committed copies.
 
+use std::path::Path;
+
+use bench::artifacts::Artifact;
 use bench::{ablation, e1, e10, e11, e13, e14, e15, e2, e3, e4, e5, e6, e7, e8, e9};
+
+/// Every experiment id, in run order.
+const EXPERIMENTS: &[(&str, fn())] = &[
+    ("e1", run_e1),
+    ("e2", run_e2),
+    ("e3", run_e3),
+    ("e4", run_e4),
+    ("e5", run_e5),
+    ("e6", run_e6),
+    ("e7", run_e7),
+    ("e8", run_e8),
+    ("e9", run_e9),
+    ("e10", run_e10),
+    ("e11", run_e11),
+    ("e13", run_e13),
+    ("e14", run_e14),
+    ("e15", run_e15),
+    ("ablations", run_ablations),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "quick");
-    let want = |name: &str| {
-        args.is_empty() || args.iter().all(|a| a == "quick") || args.iter().any(|a| a == name)
-    };
+    if let Some(bad) = args
+        .iter()
+        .find(|a| EXPERIMENTS.iter().all(|(id, _)| id != a))
+    {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "experiments: unknown experiment `{bad}` (known: {})",
+            ids.join(" ")
+        );
+        std::process::exit(2);
+    }
 
     println!("MD-DSM reproduction — experiments of ICDCS'17 §VII");
     println!("====================================================\n");
-
-    if want("e1") {
-        run_e1();
-    }
-    if want("e2") {
-        run_e2(quick);
-    }
-    if want("e3") {
-        run_e3(quick);
-    }
-    if want("e4") {
-        run_e4(quick);
-    }
-    if want("e5") {
-        run_e5();
-    }
-    if want("e6") {
-        run_e6(quick);
-    }
-    if want("e7") {
-        run_e7(quick);
-    }
-    if want("e8") {
-        run_e8(quick);
-    }
-    if want("e9") {
-        run_e9(quick);
-    }
-    if want("e10") {
-        run_e10(quick);
-    }
-    if want("e11") {
-        run_e11(quick);
-    }
-    if want("e13") {
-        run_e13(quick);
-    }
-    if want("e14") {
-        run_e14(quick);
-    }
-    if want("e15") {
-        run_e15(quick);
-    }
-    if want("ablations") {
-        run_ablations(quick);
+    for (id, run) in EXPERIMENTS {
+        if args.is_empty() || args.iter().any(|a| a == id) {
+            run();
+        }
     }
 }
 
-fn run_e6(quick: bool) {
+/// Writes `artifact` into the working directory; an artifact that cannot
+/// be written fails the run.
+fn save(artifact: &Artifact) {
+    match artifact.write_to(Path::new(".")) {
+        Ok(()) => println!("  artifact: {}", artifact.file_name()),
+        Err(e) => {
+            eprintln!("  artifact: {} not written: {e}", artifact.file_name());
+            std::process::exit(1);
+        }
+    }
+}
+
+fn run_e6() {
     println!("E6 — fault recovery under seeded fault campaigns");
     println!("-------------------------------------------------");
-    let calls = if quick { 300 } else { 2_000 };
-    let r = e6::run(2024, calls, 20);
+    let r = e6::run(2024, 2_000, 20);
     println!(
         "  campaign: seed {}, {} calls every {} virtual ms",
         r.seed, r.calls, r.period_ms
@@ -85,10 +88,7 @@ fn run_e6(quick: bool) {
             v.mean_call_ms
         );
     }
-    match std::fs::write("BENCH_e6.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e6.json"),
-        Err(e) => println!("  artifact: BENCH_e6.json not written: {e}"),
-    }
+    save(&r.artifact());
     println!(
         "\n  expectation: the resilience model (retry+breaker+fallback) lifts the\n               success-rate and cuts recovery time on the same campaign\n  measured: success {:.1}% -> {:.1}%; mean recovery {:.1} ms -> {:.1} ms\n",
         r.baseline.success_rate * 100.0,
@@ -98,11 +98,10 @@ fn run_e6(quick: bool) {
     );
 }
 
-fn run_e7(quick: bool) {
+fn run_e7() {
     println!("E7 — crash-consistent recovery: journal + supervisor vs naive restart");
     println!("----------------------------------------------------------------------");
-    let calls = if quick { 300 } else { 2_000 };
-    let r = e7::run(2024, calls, 20);
+    let r = e7::run(2024, 2_000, 20);
     println!(
         "  campaign: seed {}, {} calls every {} virtual ms",
         r.seed, r.calls, r.period_ms
@@ -139,21 +138,17 @@ fn run_e7(quick: bool) {
             "diverged (state lost)"
         }
     );
-    match std::fs::write("BENCH_e7.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e7.json"),
-        Err(e) => println!("  artifact: BENCH_e7.json not written: {e}"),
-    }
+    save(&r.artifact());
     println!(
         "\n  expectation: snapshot+journal recovery replays the middleware to the\n               exact pre-crash model, so the recovered command trace is\n               byte-identical to an uncrashed run; naive restarts lose\n               runtime state and diverge\n  measured: supervised identical={} over {} recoveries; naive identical={}\n",
         r.supervised_trace_identical, r.supervised.restarts, r.naive_trace_identical
     );
 }
 
-fn run_e8(quick: bool) {
+fn run_e8() {
     println!("E8 — overload robustness: admission control + brownout vs naive FIFO");
     println!("---------------------------------------------------------------------");
-    let horizon_ms = if quick { 400 } else { 1_500 };
-    let r = e8::run(2024, horizon_ms);
+    let r = e8::run(2024, 1_500);
     println!(
         "  campaign: seed {}, {} virtual ms, interactive arrivals x{:.0} in [{}, {}) ms",
         r.seed, r.horizon_ms, r.spike_factor, r.spike_start_ms, r.spike_end_ms
@@ -189,10 +184,7 @@ fn run_e8(quick: bool) {
             "LOST"
         }
     );
-    match std::fs::write("BENCH_e8.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e8.json"),
-        Err(e) => println!("  artifact: BENCH_e8.json not written: {e}"),
-    }
+    save(&r.artifact());
     println!(
         "\n  expectation: model-defined admission keeps admitted work fresh and the\n               declared brownout mode trades fidelity for capacity, so both\n               beat FIFO on goodput and deadline misses under the same spike\n  measured: goodput {:.1} -> {:.1} -> {:.1} /s; miss {:.1}% -> {:.1}% -> {:.1}%\n",
         r.naive.goodput_per_s,
@@ -204,15 +196,10 @@ fn run_e8(quick: bool) {
     );
 }
 
-fn run_e9(quick: bool) {
+fn run_e9() {
     println!("E9 — replicated models@runtime: journal shipping, failover, fencing");
     println!("--------------------------------------------------------------------");
-    let (seeds, calls): (&[u64], u64) = if quick {
-        (&[1, 3], 250)
-    } else {
-        (&[1, 3, 7], 1_000)
-    };
-    let r = e9::run(seeds, calls, 20);
+    let r = e9::run(&[1, 3, 7], 1_000, 20);
     println!(
         "  campaigns: seeds {:?}, {} calls every {} virtual ms, supervision every {} calls",
         r.seeds,
@@ -249,27 +236,19 @@ fn run_e9(quick: bool) {
         r.replays_consistent,
         r.one_primary_per_epoch
     );
-    match std::fs::write("BENCH_e9.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e9.json"),
-        Err(e) => println!("  artifact: BENCH_e9.json not written: {e}"),
-    }
+    save(&r.artifact());
     println!(
         "\n  expectation: ack-windowed shipping never loses a committed update and\n               its committed trace survives every failover byte-for-byte;\n               async shipping loses the partition window's commits; the\n               healed stale primary is fenced by epoch and reconciled\n  measured: ack lost=0:{} diverged=0:{}; async loss observed:{}\n",
         r.ack_zero_lost, r.ack_zero_divergence, r.async_loss_observed
     );
 }
 
-fn run_e10(quick: bool) {
+fn run_e10() {
     println!("E10 — online runtime verification: in-stream journal monitors");
     println!("--------------------------------------------------------------");
-    let (seeds, calls): (&[u64], u64) = if quick {
-        (&[1, 3], 250)
-    } else {
-        (&[1, 3, 7], 1_000)
-    };
-    let mut r = e10::run(seeds, calls, 20);
-    let cost = e10::hotpath_cost(if quick { 200 } else { 2_000 }, if quick { 5 } else { 15 });
-    r.overhead_pct = Some(cost.pct);
+    let mut r = e10::run(&[1, 3, 7], 1_000, 20);
+    let cost = e10::hotpath_cost(2_000, 15);
+    r.wall_clock = Some(cost);
     println!(
         "  campaigns: seeds {:?}, {} calls every {} virtual ms, supervision every {} calls",
         r.seeds,
@@ -308,34 +287,26 @@ fn run_e10(quick: bool) {
     );
     println!(
         "  hot path: {:.0} ns/call unarmed vs {:.0} ns/call armed — {:+.0} ns/call ({:+.2}% of the raw in-memory path; <1% of any ms-scale resource call)",
-        cost.unarmed_ns_per_call,
-        cost.armed_ns_per_call,
-        cost.armed_ns_per_call - cost.unarmed_ns_per_call,
+        cost.base_ns_per_call,
+        cost.variant_ns_per_call,
+        cost.variant_ns_per_call - cost.base_ns_per_call,
         cost.pct
     );
-    match std::fs::write("BENCH_e10.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e10.json"),
-        Err(e) => println!("  artifact: BENCH_e10.json not written: {e}"),
-    }
+    save(&r.artifact());
     println!(
         "\n  expectation: compiled in-stream monitors catch every injected\n               invariant violation on the violating write itself — before\n               any divergent command executes — on the primary and on the\n               standby's shipped journal, at small hot-path cost; the\n               unmonitored broker keeps executing against the corrupt model\n  measured: caught-all={} zero-divergence={} standby-matches={} overhead={:+.0} ns/call ({:+.2}%)\n",
         r.monitors_caught_all,
         r.zero_divergence_monitored,
         r.standby_caught_all,
-        cost.armed_ns_per_call - cost.unarmed_ns_per_call,
-        r.overhead_pct.unwrap_or(0.0)
+        cost.variant_ns_per_call - cost.base_ns_per_call,
+        cost.pct
     );
 }
 
-fn run_e11(quick: bool) {
+fn run_e11() {
     println!("E11 — static model verification: analyzer mutation-detection rate");
     println!("------------------------------------------------------------------");
-    let (seeds, draws): (&[u64], usize) = if quick {
-        (&[1, 2], 6)
-    } else {
-        (&[1, 2, 3, 5], 12)
-    };
-    let r = e11::run(seeds, draws);
+    let r = e11::run(&[1, 2, 3, 5], 12);
     println!(
         "  corpus: seeds {:?}, {} operators drawn per model per seed, {} trials",
         r.seeds,
@@ -365,10 +336,7 @@ fn run_e11(quick: bool) {
     if !missed.is_empty() {
         println!("  MISSED: {missed:?}");
     }
-    match std::fs::write("BENCH_e11.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e11.json"),
-        Err(e) => println!("  artifact: BENCH_e11.json not written: {e}"),
-    }
+    save(&r.artifact());
     println!(
         "\n  expectation: the load-time analyzer detects >=95% of seeded model\n               mutations (dangling references, reserved-key writes, type\n               clashes, dead rules, vacuous monitors, new write conflicts)\n               with zero error-level diagnostics on the unmutated models\n  measured: detection={:.1}% false-positives={}\n",
         r.detection_rate * 100.0,
@@ -376,17 +344,12 @@ fn run_e11(quick: bool) {
     );
 }
 
-fn run_e13(quick: bool) {
+fn run_e13() {
     println!("E13 — durable-storage fault tolerance: self-healing journal");
     println!("------------------------------------------------------------");
-    let (seeds, calls): (&[u64], u64) = if quick {
-        (&[1, 3], 250)
-    } else {
-        (&[1, 3, 7], 1_000)
-    };
-    let mut r = e13::run(seeds, calls, 20);
-    let cost = e13::hotpath_cost(if quick { 200 } else { 2_000 }, if quick { 5 } else { 15 });
-    r.overhead_pct = Some(cost.pct);
+    let mut r = e13::run(&[1, 3, 7], 1_000, 20);
+    let cost = e13::hotpath_cost(2_000, 15);
+    r.wall_clock = Some(cost);
     println!(
         "  campaigns: seeds {:?}, {} calls every {} virtual ms, snapshot every {} entries",
         r.seeds,
@@ -430,33 +393,25 @@ fn run_e13(quick: bool) {
     );
     println!(
         "  hot path: {:.0} ns/call unframed vs {:.0} ns/call framed — {:+.0} ns/call ({:+.2}% of the raw in-memory path; acceptance <=5%)",
-        cost.unframed_ns_per_call,
-        cost.framed_ns_per_call,
-        cost.framed_ns_per_call - cost.unframed_ns_per_call,
+        cost.base_ns_per_call,
+        cost.variant_ns_per_call,
+        cost.variant_ns_per_call - cost.base_ns_per_call,
         cost.pct
     );
-    match std::fs::write("BENCH_e13.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e13.json"),
-        Err(e) => println!("  artifact: BENCH_e13.json not written: {e}"),
-    }
+    save(&r.artifact());
     println!(
         "\n  expectation: per-record CRC framing detects every byte-altering storage\n               fault; the standby mirror additionally catches clean tail drops\n               and heals the journal byte-identically, losing zero committed\n               updates, at a few percent of the raw append path; the naive\n               journal silently loses committed records on the same campaigns\n  measured: detects-all={} zero-loss={} byte-identical={} framing-overhead={:+.2}%\n",
         r.self_healing_detected_all,
         r.self_healing_zero_loss,
         r.repairs_byte_identical,
-        r.overhead_pct.unwrap_or(0.0)
+        cost.pct
     );
 }
 
-fn run_e14(quick: bool) {
+fn run_e14() {
     println!("E14 — live model evolution: hot upgrade under traffic");
     println!("------------------------------------------------------");
-    let (seeds, calls): (&[u64], u64) = if quick {
-        (&[1, 3], 250)
-    } else {
-        (&[1, 3, 7], 1_000)
-    };
-    let r = e14::run(seeds, calls, 20);
+    let r = e14::run(&[1, 3, 7], 1_000, 20);
     println!(
         "  campaigns: seeds {:?}, {} calls every {} virtual ms, shadow {} calls, probation {} ticks",
         r.seeds,
@@ -495,10 +450,7 @@ fn run_e14(quick: bool) {
         r.goodput_live,
         r.goodput_stw
     );
-    match std::fs::write("BENCH_e14.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e14.json"),
-        Err(e) => println!("  artifact: BENCH_e14.json not written: {e}"),
-    }
+    save(&r.artifact());
     println!(
         "\n  expectation: every seeded upgrade campaign ends on one consistent committed\n               version (cutover or rollback) with zero committed updates lost;\n               crash-mid-upgrade recovery is byte-identical to a replay and\n               never yields a hybrid model; serving through upgrades beats the\n               stop-the-world restart baseline on goodput\n  measured: consistent={} zero-loss={} byte-identical={} goodput {:.4} live vs {:.4} stw\n",
         r.all_consistent,
@@ -509,15 +461,10 @@ fn run_e14(quick: bool) {
     );
 }
 
-fn run_e15(quick: bool) {
+fn run_e15() {
     println!("E15 — quorum-replicated models@runtime: replica sets, majority commit");
     println!("----------------------------------------------------------------------");
-    let (seeds, calls): (&[u64], u64) = if quick {
-        (&[1, 3], 250)
-    } else {
-        (&[1, 3, 7], 600)
-    };
-    let r = e15::run(seeds, calls, 20);
+    let r = e15::run(&[1, 3, 7], 600, 20);
     println!(
         "  campaigns: seeds {:?}, {} calls every {} virtual ms, supervision every {} calls",
         r.seeds,
@@ -560,17 +507,14 @@ fn run_e15(quick: bool) {
         r.one_primary_per_epoch,
         r.upgrades_propagated
     );
-    match std::fs::write("BENCH_e15.json", r.to_json()) {
-        Ok(()) => println!("  artifact: BENCH_e15.json"),
-        Err(e) => println!("  artifact: BENCH_e15.json not written: {e}"),
-    }
+    save(&r.artifact());
     println!(
         "\n  expectation: a model-defined replica set with majority commit loses zero\n               quorum-committed updates and shows zero committed-trace\n               divergence under composed chaos with any minority faulty,\n               while quorum-elected failover keeps serving through faults\n               that leave the single-standby baseline unavailable\n  measured: zero-loss={} zero-divergence={} unavailable {} (quorum) vs {} (baseline)\n",
         r.quorum_zero_lost, r.quorum_zero_divergence, r.unavailable_quorum, r.unavailable_baseline
     );
 }
 
-fn run_ablations(quick: bool) {
+fn run_ablations() {
     println!("A — ablations over DESIGN.md's design choices");
     println!("----------------------------------------------");
     println!("A1: cold IM-generation time vs repository size");
@@ -588,7 +532,7 @@ fn run_ablations(quick: bool) {
     }
     println!("\nA3: E2 overhead vs per-call service work (why 17% is testbed-relative)");
     println!("{:>10} {:>12}", "work", "overhead");
-    for r in ablation::work_sweep(if quick { 5 } else { 20 }) {
+    for r in ablation::work_sweep(20) {
         println!("{:>10} {:>11.1}%", r.work, r.overhead_pct);
     }
     println!();
@@ -598,27 +542,28 @@ fn run_e1() {
     println!("E1 — behavioural equivalence of model-based vs handcrafted Broker (§VII-A)");
     println!("---------------------------------------------------------------------------");
     println!("{:<42} {:>9} {:>12}", "scenario", "commands", "equivalent");
-    let rows = e1::run(2024);
-    for r in &rows {
-        println!("{:<42} {:>9} {:>12}", r.scenario, r.commands, r.equivalent);
+    let r = e1::run(2024);
+    for row in &r.rows {
+        println!(
+            "{:<42} {:>9} {:>12}",
+            row.scenario, row.commands, row.equivalent
+        );
     }
-    let all = rows.iter().all(|r| r.equivalent);
+    save(&r.artifact());
     println!(
         "\n  paper: identical command sequences for all scenarios\n  measured: {} / {} scenarios equivalent -> {}\n",
-        rows.iter().filter(|r| r.equivalent).count(),
-        rows.len(),
-        if all { "REPRODUCED" } else { "DIVERGED" }
+        r.rows.iter().filter(|row| row.equivalent).count(),
+        r.rows.len(),
+        if r.all_equivalent { "REPRODUCED" } else { "DIVERGED" }
     );
 }
 
-fn run_e2(quick: bool) {
+fn run_e2() {
     println!("E2 — model-interpretation overhead across the 8 scenarios (§VII-A)");
     println!("-------------------------------------------------------------------");
-    // Full mode uses the work level at which per-call service work
-    // dominates like the paper's testbed (see ablation A3); quick mode
-    // trades fidelity for CI time.
-    let (work, reps) = if quick { (4_000, 10) } else { (10_000, 40) };
-    let result = e2::run(2024, work, reps);
+    // The work level at which per-call service work dominates like the
+    // paper's testbed (see ablation A3).
+    let result = e2::run(2024, 10_000, 40);
     println!(
         "{:<42} {:>14} {:>14} {:>10}",
         "scenario", "handcrafted", "model-based", "overhead"
@@ -635,11 +580,10 @@ fn run_e2(quick: bool) {
     );
 }
 
-fn run_e3(quick: bool) {
+fn run_e3() {
     println!("E3 — intent-model generation cycle amortization (§VII-B)");
     println!("---------------------------------------------------------");
-    let max_cycles = if quick { 10_000 } else { 100_000 };
-    let r = e3::run(max_cycles);
+    let r = e3::run(100_000);
     println!(
         "  repository: {} curated procedures; generated IM spans {} nodes",
         r.procedures, r.im_size
@@ -662,7 +606,7 @@ fn run_e3(quick: bool) {
     );
 }
 
-fn run_e4(quick: bool) {
+fn run_e4() {
     println!("E4 — adaptive vs non-adaptive Controller response time (§VII-B)");
     println!("----------------------------------------------------------------");
     let d = e4::dynamic(2024);
@@ -676,7 +620,7 @@ fn run_e4(quick: bool) {
         d.nonadaptive_ms, d.nonadaptive_completed
     );
     println!("    speedup     : {:>8.2}x", d.speedup);
-    let s = e4::static_scenario(2024, if quick { 5 } else { 25 });
+    let s = e4::static_scenario(2024, 25);
     println!("  static scenario (healthy services; wall clock, cold engines):");
     println!("    adaptive    : {:>8.1} us per command", s.adaptive_us);
     println!("    non-adaptive: {:>8.1} us per command", s.nonadaptive_us);

@@ -30,12 +30,10 @@
 //! model, the standby's verdicts match the primary's, and the surviving
 //! journals replay byte-identically. The unmonitored broker measurably
 //! executes divergent commands. Hot-path cost of a clean (no-violation)
-//! run is measured wall-clock by [`hotpath_overhead_pct`] — the only
-//! non-deterministic number, kept out of the seeded results.
+//! run is measured wall-clock by [`hotpath_cost`] — the only
+//! non-deterministic numbers, kept in the artifact's `wall_clock` member.
 //!
 //! [`BrokerError::MonitorTripped`]: mddsm_broker::BrokerError::MonitorTripped
-
-use std::time::Instant;
 
 use mddsm_broker::journal;
 use mddsm_broker::monitor::MonitorSet;
@@ -49,6 +47,9 @@ use mddsm_sim::fault::{
 };
 use mddsm_sim::resource::{args, Args, Outcome};
 use mddsm_sim::{LatencyModel, ResourceHub, SimDuration};
+
+use crate::artifacts::{Artifact, Obj};
+use crate::micro::HotpathCost;
 
 /// Journal snapshot cadence (entries between snapshots) — also the
 /// rollback granularity after a quarantine.
@@ -403,14 +404,14 @@ pub struct E10Result {
     /// Every journal replays to the live runtime model, in every
     /// configuration, on every seed.
     pub replays_consistent: bool,
-    /// Wall-clock hot-path overhead of armed monitors on a clean run
-    /// (percent; measured separately by [`hotpath_overhead_pct`], `None`
-    /// in deterministic runs).
-    pub overhead_pct: Option<f64>,
+    /// Wall-clock hot-path cost of armed monitors on a clean run
+    /// (measured separately by [`hotpath_cost`], `None` in deterministic
+    /// runs).
+    pub wall_clock: Option<HotpathCost>,
 }
 
 /// Runs E10 across `seeds`. Deterministic in the seeds; the wall-clock
-/// overhead is *not* measured here (see [`hotpath_overhead_pct`]).
+/// overhead is *not* measured here (see [`hotpath_cost`]).
 pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E10Result {
     let campaigns: Vec<E10Campaign> = seeds
         .iter()
@@ -445,151 +446,64 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E10Result {
         zero_divergence_monitored,
         standby_caught_all,
         replays_consistent,
-        overhead_pct: None,
+        wall_clock: None,
     }
 }
 
-/// Wall-clock hot-path cost of armed monitors (see [`hotpath_cost`]).
-#[derive(Debug, Clone, Copy)]
-pub struct HotpathCost {
-    /// Nanoseconds per clean call, monitors unarmed.
-    pub unarmed_ns_per_call: f64,
-    /// Nanoseconds per clean call, monitors armed.
-    pub armed_ns_per_call: f64,
-    /// Relative overhead of arming, percent of the unarmed call.
-    pub pct: f64,
-}
-
-/// Wall-clock hot-path cost of armed monitors: minima over `reps`
-/// interleaved clean runs (no corruption) of `calls` calls each, armed
-/// vs unarmed, same journaling. The per-side *minimum* is the least
-/// preemption-contaminated estimate of the true cost (standard
-/// microbenchmark practice). Positive percent = monitors cost time.
-/// These are the only wall-clock numbers in E10 and are kept out of the
-/// seeded results so those stay byte-identical across machines. The
-/// percentage is relative to the raw in-memory call path (a few µs);
-/// against any real resource latency the absolute ns/call figure is the
-/// honest one.
+/// Wall-clock hot-path cost of armed monitors: the shared
+/// [`crate::micro::hotpath_cost`] probe over clean runs (no corruption),
+/// unarmed (base) vs armed (variant), same journaling.
 pub fn hotpath_cost(calls: u64, reps: u64) -> HotpathCost {
-    fn one(model: &Model, calls: u64, seed: u64) -> u128 {
+    let (unarmed, armed) = (e10_broker_model(false), e10_broker_model(true));
+    crate::micro::hotpath_cost(calls, reps, |arm, seed| {
+        let model = if arm { &armed } else { &unarmed };
         let mut b = GenericBroker::from_model(model, hub(seed)).expect("E10 model valid");
         b.enable_journal(SNAPSHOT_EVERY);
-        let t0 = Instant::now();
-        for i in 0..calls {
-            let n = i.to_string();
-            let r = b.call("op", &args(&[("n", &n)])).expect("clean call");
-            assert!(r.outcome.is_ok());
-        }
-        t0.elapsed().as_nanos()
-    }
-    let unarmed = e10_broker_model(false);
-    let armed = e10_broker_model(true);
-    let mut off: Vec<u128> = Vec::new();
-    let mut on: Vec<u128> = Vec::new();
-    for r in 0..reps.max(1) {
-        off.push(one(&unarmed, calls, r));
-        on.push(one(&armed, calls, r));
-    }
-    let (m_off, m_on) = (
-        off.iter().copied().min().unwrap_or(0),
-        on.iter().copied().min().unwrap_or(0),
-    );
-    let per = |total: u128| total as f64 / calls.max(1) as f64;
-    HotpathCost {
-        unarmed_ns_per_call: per(m_off),
-        armed_ns_per_call: per(m_on),
-        pct: if m_off == 0 {
-            0.0
-        } else {
-            (m_on as f64 - m_off as f64) / m_off as f64 * 100.0
-        },
-    }
+        b
+    })
 }
 
-/// The percentage component of [`hotpath_cost`] alone.
-pub fn hotpath_overhead_pct(calls: u64, reps: u64) -> f64 {
-    hotpath_cost(calls, reps).pct
-}
-
-fn json_run(r: &E10Run) -> String {
-    format!(
-        concat!(
-            "{{\"calls\": {}, \"served\": {}, \"injected\": {}, \"caught\": {}, ",
-            "\"masked\": {}, \"missed\": {}, \"refused_latched\": {}, ",
-            "\"quarantines\": {}, \"rollbacks\": {}, \"divergent_commands\": {}, ",
-            "\"standby_trips\": {}, \"journal_bytes\": {}, \"state_version\": {}, ",
-            "\"replay_consistent\": {}}}"
-        ),
-        r.calls,
-        r.served,
-        r.injected,
-        r.caught,
-        r.masked,
-        r.missed,
-        r.refused_latched,
-        r.quarantines,
-        r.rollbacks,
-        r.divergent_commands,
-        r.standby_trips,
-        r.journal_bytes,
-        r.state_version,
-        r.replay_consistent,
-    )
+fn fields(r: &E10Run) -> Obj {
+    crate::obj! {
+        "calls": r.calls, "served": r.served, "injected": r.injected, "caught": r.caught,
+        "masked": r.masked, "missed": r.missed, "refused_latched": r.refused_latched,
+        "quarantines": r.quarantines, "rollbacks": r.rollbacks,
+        "divergent_commands": r.divergent_commands, "standby_trips": r.standby_trips,
+        "journal_bytes": r.journal_bytes, "state_version": r.state_version,
+        "replay_consistent": r.replay_consistent,
+    }
 }
 
 impl E10Result {
-    /// Renders the `BENCH_e10.json` artifact (hand-rolled: the workspace
-    /// is dependency-free by design). Deterministic in the seeds except
-    /// for `overhead_pct`, when set.
-    pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let overhead = match self.overhead_pct {
-            Some(p) => format!("{p:.2}"),
-            None => "null".to_owned(),
-        };
-        let campaigns = self
+    /// The `BENCH_e10.json` artifact. Deterministic in the seeds except
+    /// for `wall_clock`, when measured.
+    pub fn artifact(&self) -> Artifact {
+        let campaigns: Vec<Obj> = self
             .campaigns
             .iter()
             .map(|c| {
-                format!(
-                    concat!(
-                        "    {{\"seed\": {}, \"unmonitored\": {},\n",
-                        "     \"monitored\": {},\n     \"replicated\": {}}}"
-                    ),
-                    c.seed,
-                    json_run(&c.unmonitored),
-                    json_run(&c.monitored),
-                    json_run(&c.replicated),
-                )
+                crate::obj! {
+                    "seed": c.seed, "unmonitored": fields(&c.unmonitored),
+                    "monitored": fields(&c.monitored), "replicated": fields(&c.replicated),
+                }
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e10\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n  \"supervise_every\": {},\n",
-                "  \"unmonitored_divergence_observed\": {},\n",
-                "  \"monitors_caught_all\": {},\n  \"zero_divergence_monitored\": {},\n",
-                "  \"standby_caught_all\": {},\n  \"replays_consistent\": {},\n",
-                "  \"overhead_pct\": {},\n  \"campaigns\": [\n{}\n  ]\n}}\n"
-            ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.calls,
-            self.period_ms,
-            SUPERVISE_EVERY,
-            self.unmonitored_divergence_observed,
-            self.monitors_caught_all,
-            self.zero_divergence_monitored,
-            self.standby_caught_all,
-            self.replays_consistent,
-            overhead,
-            campaigns,
+            .collect();
+        Artifact::new(
+            "e10",
+            crate::obj! {
+                "seed": self.seeds.first().copied().unwrap_or(0),
+                "seeds": self.seeds.clone(),
+                "calls": self.calls,
+                "period_ms": self.period_ms,
+                "supervise_every": SUPERVISE_EVERY,
+                "unmonitored_divergence_observed": self.unmonitored_divergence_observed,
+                "monitors_caught_all": self.monitors_caught_all,
+                "zero_divergence_monitored": self.zero_divergence_monitored,
+                "standby_caught_all": self.standby_caught_all,
+                "replays_consistent": self.replays_consistent,
+                "wall_clock": self.wall_clock.map(|c| c.fields()),
+                "campaigns": campaigns,
+            },
         )
     }
 }
@@ -666,35 +580,6 @@ mod tests {
         let a = run(&[7], 200, 20);
         let b = run(&[7], 200, 20);
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn overhead_probe_yields_a_finite_number() {
-        let pct = hotpath_overhead_pct(60, 3);
-        assert!(pct.is_finite());
-    }
-
-    #[test]
-    fn json_artifact_is_well_formed_enough() {
-        let mut r = run(&[3], 120, 20);
-        assert!(r.to_json().contains("\"overhead_pct\": null"));
-        r.overhead_pct = Some(0.42);
-        let j = r.to_json();
-        assert!(j.contains("\"experiment\": \"e10\""));
-        for key in [
-            "\"monitors_caught_all\"",
-            "\"zero_divergence_monitored\"",
-            "\"standby_caught_all\"",
-            "\"unmonitored_divergence_observed\"",
-            "\"replays_consistent\"",
-            "\"overhead_pct\": 0.42",
-            "\"campaigns\"",
-            "\"divergent_commands\"",
-            "\"standby_trips\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(a.artifact().render(), b.artifact().render());
     }
 }

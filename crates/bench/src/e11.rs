@@ -34,6 +34,8 @@ use mddsm_sim::mutate::MutationDeck;
 use mddsm_sim::SimRng;
 use std::collections::BTreeSet;
 
+use crate::artifacts::{fixed, Artifact, Obj};
+
 /// A mutation operator: applies one seeded defect to the model in place.
 /// Returns `false` when the model lacks the structure the operator needs
 /// (e.g. a second handler to duplicate) — the trial is then skipped.
@@ -415,59 +417,42 @@ pub fn run(seeds: &[u64], draws_per_model: usize) -> E11Result {
 }
 
 impl E11Result {
-    /// Renders the `BENCH_e11.json` artifact (hand-rolled: the workspace
-    /// is dependency-free by design). Deterministic in the seeds.
-    pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let baselines = self
+    /// The `BENCH_e11.json` artifact. Deterministic in the seeds.
+    pub fn artifact(&self) -> Artifact {
+        let baselines: Vec<Obj> = self
             .baselines
             .iter()
             .map(|b| {
-                format!(
-                    concat!(
-                        "    {{\"model\": \"{}\", \"errors\": {}, \"warnings\": {}, ",
-                        "\"footprints\": {}, \"conflicts\": {}}}"
-                    ),
-                    b.model, b.errors, b.warnings, b.footprints, b.conflicts
-                )
+                crate::obj! {
+                    "model": b.model.as_str(), "errors": b.errors, "warnings": b.warnings,
+                    "footprints": b.footprints, "conflicts": b.conflicts,
+                }
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let trials = self
+            .collect();
+        let trials: Vec<Obj> = self
             .trials
             .iter()
             .map(|t| {
-                format!(
-                    concat!(
-                        "    {{\"seed\": {}, \"model\": \"{}\", \"mutation\": \"{}\", ",
-                        "\"new_diagnostics\": {}, \"new_conflicts\": {}, \"detected\": {}}}"
-                    ),
-                    t.seed, t.model, t.mutation, t.new_diagnostics, t.new_conflicts, t.detected
-                )
+                crate::obj! {
+                    "seed": t.seed, "model": t.model.as_str(), "mutation": t.mutation.as_str(),
+                    "new_diagnostics": t.new_diagnostics, "new_conflicts": t.new_conflicts,
+                    "detected": t.detected,
+                }
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e11\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"draws_per_model\": {},\n  \"trials_run\": {},\n  \"detected\": {},\n",
-                "  \"detection_rate\": {:.4},\n  \"false_positives\": {},\n",
-                "  \"baselines\": [\n{}\n  ],\n  \"trials\": [\n{}\n  ]\n}}\n"
-            ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.draws_per_model,
-            self.trials.len(),
-            self.detected,
-            self.detection_rate,
-            self.false_positives,
-            baselines,
-            trials,
+            .collect();
+        Artifact::new(
+            "e11",
+            crate::obj! {
+                "seed": self.seeds.first().copied().unwrap_or(0),
+                "seeds": self.seeds.clone(),
+                "draws_per_model": self.draws_per_model,
+                "trials_run": self.trials.len(),
+                "detected": self.detected,
+                "detection_rate": fixed(self.detection_rate, 4),
+                "false_positives": self.false_positives,
+                "baselines": baselines,
+                "trials": trials,
+            },
         )
     }
 }
@@ -543,24 +528,6 @@ mod tests {
         let a = run(&[7, 9], 5);
         let b = run(&[7, 9], 5);
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn json_artifact_is_well_formed_enough() {
-        let r = run(&[3], 4);
-        let j = r.to_json();
-        assert!(j.contains("\"experiment\": \"e11\""));
-        for key in [
-            "\"detection_rate\"",
-            "\"false_positives\"",
-            "\"baselines\"",
-            "\"trials\"",
-            "\"footprints\"",
-            "\"conflicts\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(a.artifact().render(), b.artifact().render());
     }
 }

@@ -34,19 +34,17 @@
 //! configuration detects all *byte* damage (clean drops excepted, by
 //! construction), and the naive configuration measurably loses committed
 //! records. CRC framing cost on the clean journal append path is measured
-//! wall-clock by [`hotpath_overhead_pct`] — the only non-deterministic
-//! number, kept out of the seeded results.
+//! wall-clock by [`hotpath_cost`] — the only non-deterministic numbers,
+//! kept in the artifact's `wall_clock` member.
 //!
 //! [`BrokerError::JournalDamaged`]: mddsm_broker::BrokerError::JournalDamaged
 //! [`SupervisorDecision::RepairJournal`]: mddsm_broker::SupervisorDecision::RepairJournal
 //! [`recover_with_anti_entropy`]: mddsm_broker::replication::recover_with_anti_entropy
 
-use std::time::Instant;
-
 use mddsm_broker::journal;
 use mddsm_broker::{
-    recover_with_anti_entropy, repair_journal, BrokerError, BrokerModelBuilder, GenericBroker,
-    RestartPolicy, Standby, Supervisor, SupervisorDecision,
+    recover_with_anti_entropy, repair_journal, repair_reason, BrokerError, BrokerModelBuilder,
+    GenericBroker, RestartPolicy, Standby, Supervisor, SupervisorDecision,
 };
 use mddsm_meta::Model;
 use mddsm_sim::fault::{
@@ -55,6 +53,9 @@ use mddsm_sim::fault::{
 };
 use mddsm_sim::resource::{args, Args, Outcome};
 use mddsm_sim::{LatencyModel, ResourceHub, SimDuration, SimTime};
+
+use crate::artifacts::{Artifact, Obj};
+use crate::micro::HotpathCost;
 
 /// Journal snapshot cadence (entries between snapshots). Low enough that
 /// campaigns regularly damage journals that contain snapshot records.
@@ -299,28 +300,11 @@ fn apply_storage_fault(
     let preflight = journal::replay(&damaged);
 
     if let Some(sb) = standby {
-        // Self-healing: the same damage criterion recover_with_anti_entropy
-        // applies — typed damage, or a mirror that extends past the local
-        // journal's intact prefix.
-        let reason = match &preflight {
-            Err(BrokerError::JournalDamaged { lsn, offset, why }) => Some(format!(
-                "journal damaged at lsn {lsn}, byte {offset}: {why}"
-            )),
-            Err(e) => panic!("unexpected replay refusal: {e}"),
-            Ok(r) => {
-                let intact = match &r.torn {
-                    Some(t) => &damaged[..t.offset as usize],
-                    None => &damaged[..],
-                };
-                let mirror = sb.journal_bytes();
-                let gap = (mirror.len() > intact.len() && mirror.starts_with(intact))
-                    || r.state.version() < sb.applied_lsn();
-                gap.then(|| "acknowledged records missing from the journal tail".to_owned())
-            }
-        };
-        if let Some(reason) = &reason {
+        // Self-healing: the damage criterion recover_with_anti_entropy
+        // applies.
+        if let Some(reason) = repair_reason(&damaged, &preflight, sb) {
             run.detected += 1;
-            supervisor.note_journal_damage("a", reason);
+            supervisor.note_journal_damage("a", &reason);
             for d in supervisor.tick(now).expect("symptoms evaluate") {
                 match d {
                     SupervisorDecision::RepairJournal { .. } => run.repair_decisions += 1,
@@ -538,14 +522,14 @@ pub struct E13Result {
     /// Every final journal replays to the live runtime model, in every
     /// configuration, on every seed.
     pub replays_consistent: bool,
-    /// Wall-clock CRC-framing overhead on the clean journal append path
-    /// (percent; measured separately by [`hotpath_overhead_pct`], `None`
-    /// in deterministic runs).
-    pub overhead_pct: Option<f64>,
+    /// Wall-clock CRC-framing cost on the clean journal append path
+    /// (measured separately by [`hotpath_cost`], `None` in deterministic
+    /// runs).
+    pub wall_clock: Option<HotpathCost>,
 }
 
 /// Runs E13 across `seeds`. Deterministic in the seeds; the wall-clock
-/// framing overhead is *not* measured here (see [`hotpath_overhead_pct`]).
+/// framing overhead is *not* measured here (see [`hotpath_cost`]).
 pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E13Result {
     let campaigns: Vec<E13Campaign> = seeds
         .iter()
@@ -580,162 +564,70 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E13Result {
         self_healing_zero_loss,
         repairs_byte_identical,
         replays_consistent,
-        overhead_pct: None,
+        wall_clock: None,
     }
 }
 
-/// Wall-clock cost of CRC framing on the clean append path (see
-/// [`hotpath_cost`]).
-#[derive(Debug, Clone, Copy)]
-pub struct HotpathCost {
-    /// Nanoseconds per clean call, legacy unframed journal.
-    pub unframed_ns_per_call: f64,
-    /// Nanoseconds per clean call, CRC32-framed journal.
-    pub framed_ns_per_call: f64,
-    /// Relative cost of framing, percent of the unframed call.
-    pub pct: f64,
-}
-
-/// Wall-clock cost of CRC32 framing: minima over `reps` interleaved clean
-/// runs (no faults) of `calls` calls each, framed vs unframed, same
-/// model and snapshot cadence. The per-side *minimum* is the least
-/// preemption-contaminated estimate (standard microbenchmark practice).
-/// Positive percent = framing costs time. These are the only wall-clock
-/// numbers in E13 and are kept out of the seeded results so those stay
-/// byte-identical across machines.
+/// Wall-clock cost of CRC32 framing: the shared
+/// [`crate::micro::hotpath_cost`] probe over clean runs (no faults),
+/// unframed (base) vs framed (variant), same model and snapshot cadence.
 pub fn hotpath_cost(calls: u64, reps: u64) -> HotpathCost {
-    fn one(model: &Model, calls: u64, seed: u64, framed: bool) -> u128 {
-        let mut b = GenericBroker::from_model(model, hub(seed)).expect("E13 model valid");
-        b.enable_journal_with(SNAPSHOT_EVERY, framed);
-        let t0 = Instant::now();
-        for i in 0..calls {
-            let n = i.to_string();
-            let r = b.call("op", &args(&[("n", &n)])).expect("clean call");
-            assert!(r.outcome.is_ok());
-        }
-        t0.elapsed().as_nanos()
-    }
     let model = e13_broker_model();
-    let mut legacy: Vec<u128> = Vec::new();
-    let mut framed: Vec<u128> = Vec::new();
-    for r in 0..reps.max(1) {
-        legacy.push(one(&model, calls, r, false));
-        framed.push(one(&model, calls, r, true));
-    }
-    let (m_off, m_on) = (
-        legacy.iter().copied().min().unwrap_or(0),
-        framed.iter().copied().min().unwrap_or(0),
-    );
-    let per = |total: u128| total as f64 / calls.max(1) as f64;
-    HotpathCost {
-        unframed_ns_per_call: per(m_off),
-        framed_ns_per_call: per(m_on),
-        pct: if m_off == 0 {
-            0.0
-        } else {
-            (m_on as f64 - m_off as f64) / m_off as f64 * 100.0
-        },
-    }
+    crate::micro::hotpath_cost(calls, reps, |framed, seed| {
+        let mut b = GenericBroker::from_model(&model, hub(seed)).expect("E13 model valid");
+        b.enable_journal_with(SNAPSHOT_EVERY, framed);
+        b
+    })
 }
 
-/// The percentage component of [`hotpath_cost`] alone.
-pub fn hotpath_overhead_pct(calls: u64, reps: u64) -> f64 {
-    hotpath_cost(calls, reps).pct
-}
-
-fn json_run(r: &E13Run) -> String {
-    format!(
-        concat!(
-            "{{\"calls\": {}, \"served\": {}, \"faults\": {}, \"harmless\": {}, ",
-            "\"torn_faults\": {}, \"flip_faults\": {}, \"drop_faults\": {}, ",
-            "\"snap_faults\": {}, \"detected\": {}, \"silent_byte\": {}, ",
-            "\"silent_drop\": {}, \"torn_recoveries\": {}, \"repairs\": {}, ",
-            "\"repair_decisions\": {}, \"quarantines\": {}, \"manual_restores\": {}, ",
-            "\"committed_lost\": {}, \"repairs_byte_identical\": {}, ",
-            "\"repairs_state_identical\": {}, \"journal_bytes\": {}, ",
-            "\"state_version\": {}, \"replay_consistent\": {}}}"
-        ),
-        r.calls,
-        r.served,
-        r.faults,
-        r.harmless,
-        r.torn_faults,
-        r.flip_faults,
-        r.drop_faults,
-        r.snap_faults,
-        r.detected,
-        r.silent_byte,
-        r.silent_drop,
-        r.torn_recoveries,
-        r.repairs,
-        r.repair_decisions,
-        r.quarantines,
-        r.manual_restores,
-        r.committed_lost,
-        r.repairs_byte_identical,
-        r.repairs_state_identical,
-        r.journal_bytes,
-        r.state_version,
-        r.replay_consistent,
-    )
+fn fields(r: &E13Run) -> Obj {
+    crate::obj! {
+        "calls": r.calls, "served": r.served, "faults": r.faults, "harmless": r.harmless,
+        "torn_faults": r.torn_faults, "flip_faults": r.flip_faults,
+        "drop_faults": r.drop_faults, "snap_faults": r.snap_faults, "detected": r.detected,
+        "silent_byte": r.silent_byte, "silent_drop": r.silent_drop,
+        "torn_recoveries": r.torn_recoveries, "repairs": r.repairs,
+        "repair_decisions": r.repair_decisions, "quarantines": r.quarantines,
+        "manual_restores": r.manual_restores, "committed_lost": r.committed_lost,
+        "repairs_byte_identical": r.repairs_byte_identical,
+        "repairs_state_identical": r.repairs_state_identical,
+        "journal_bytes": r.journal_bytes, "state_version": r.state_version,
+        "replay_consistent": r.replay_consistent,
+    }
 }
 
 impl E13Result {
-    /// Renders the `BENCH_e13.json` artifact (hand-rolled: the workspace
-    /// is dependency-free by design). Deterministic in the seeds except
-    /// for `overhead_pct`, when set.
-    pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let overhead = match self.overhead_pct {
-            Some(p) => format!("{p:.2}"),
-            None => "null".to_owned(),
-        };
-        let campaigns = self
+    /// The `BENCH_e13.json` artifact. Deterministic in the seeds except
+    /// for `wall_clock`, when measured.
+    pub fn artifact(&self) -> Artifact {
+        let campaigns: Vec<Obj> = self
             .campaigns
             .iter()
             .map(|c| {
-                format!(
-                    concat!(
-                        "    {{\"seed\": {}, \"naive\": {},\n",
-                        "     \"checksummed\": {},\n     \"self_healing\": {}}}"
-                    ),
-                    c.seed,
-                    json_run(&c.naive),
-                    json_run(&c.checksummed),
-                    json_run(&c.self_healing),
-                )
+                crate::obj! {
+                    "seed": c.seed, "naive": fields(&c.naive),
+                    "checksummed": fields(&c.checksummed),
+                    "self_healing": fields(&c.self_healing),
+                }
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e13\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n  \"snapshot_every\": {},\n",
-                "  \"naive_loss_observed\": {},\n",
-                "  \"checksummed_detects_byte_damage\": {},\n",
-                "  \"self_healing_detected_all\": {},\n",
-                "  \"self_healing_zero_loss\": {},\n",
-                "  \"repairs_byte_identical\": {},\n  \"replays_consistent\": {},\n",
-                "  \"overhead_pct\": {},\n  \"campaigns\": [\n{}\n  ]\n}}\n"
-            ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.calls,
-            self.period_ms,
-            SNAPSHOT_EVERY,
-            self.naive_loss_observed,
-            self.checksummed_detects_byte_damage,
-            self.self_healing_detected_all,
-            self.self_healing_zero_loss,
-            self.repairs_byte_identical,
-            self.replays_consistent,
-            overhead,
-            campaigns,
+            .collect();
+        Artifact::new(
+            "e13",
+            crate::obj! {
+                "seed": self.seeds.first().copied().unwrap_or(0),
+                "seeds": self.seeds.clone(),
+                "calls": self.calls,
+                "period_ms": self.period_ms,
+                "snapshot_every": SNAPSHOT_EVERY,
+                "naive_loss_observed": self.naive_loss_observed,
+                "checksummed_detects_byte_damage": self.checksummed_detects_byte_damage,
+                "self_healing_detected_all": self.self_healing_detected_all,
+                "self_healing_zero_loss": self.self_healing_zero_loss,
+                "repairs_byte_identical": self.repairs_byte_identical,
+                "replays_consistent": self.replays_consistent,
+                "wall_clock": self.wall_clock.map(|c| c.fields()),
+                "campaigns": campaigns,
+            },
         )
     }
 }
@@ -830,36 +722,6 @@ mod tests {
         let a = run(&[7], 200, 20);
         let b = run(&[7], 200, 20);
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn framing_probe_yields_a_finite_number() {
-        let pct = hotpath_overhead_pct(60, 3);
-        assert!(pct.is_finite());
-    }
-
-    #[test]
-    fn json_artifact_is_well_formed_enough() {
-        let mut r = run(&[3], 120, 20);
-        assert!(r.to_json().contains("\"overhead_pct\": null"));
-        r.overhead_pct = Some(0.42);
-        let j = r.to_json();
-        assert!(j.contains("\"experiment\": \"e13\""));
-        for key in [
-            "\"naive_loss_observed\"",
-            "\"checksummed_detects_byte_damage\"",
-            "\"self_healing_detected_all\"",
-            "\"self_healing_zero_loss\"",
-            "\"repairs_byte_identical\"",
-            "\"replays_consistent\"",
-            "\"overhead_pct\": 0.42",
-            "\"campaigns\"",
-            "\"committed_lost\"",
-            "\"silent_drop\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(a.artifact().render(), b.artifact().render());
     }
 }

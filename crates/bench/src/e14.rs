@@ -47,6 +47,8 @@ use mddsm_sim::fault::{
 use mddsm_sim::resource::{args, Args, Outcome};
 use mddsm_sim::{LatencyModel, ResourceHub, SimDuration, SimTime};
 
+use crate::artifacts::{fixed, Artifact, Obj};
+
 /// Journal snapshot cadence (entries between snapshots).
 pub const SNAPSHOT_EVERY: u64 = 24;
 
@@ -741,97 +743,51 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E14Result {
     }
 }
 
-fn json_run(r: &E14Run) -> String {
-    format!(
-        concat!(
-            "{{\"calls\": {}, \"served\": {}, \"dropped\": {}, \"refused_calls\": {}, ",
-            "\"upgrades_pushed\": {}, \"upgrades_skipped\": {}, \"gate_refused\": {}, ",
-            "\"shadow_refused\": {}, \"cutovers\": {}, \"committed\": {}, ",
-            "\"rolled_back\": {}, \"aborted_by_crash\": {}, \"crash_committed\": {}, ",
-            "\"crashes\": {}, \"corruptions\": {}, \"monitor_trips\": {}, ",
-            "\"snapshot_rollbacks\": {}, \"storage_faults\": {}, \"harmless\": {}, ",
-            "\"committed_lost\": {}, \"repairs_byte_identical\": {}, ",
-            "\"replays_byte_identical\": {}, \"final_version\": {}, ",
-            "\"consistent_final\": {}, \"goodput\": {:.4}, \"p99_us\": {}}}"
-        ),
-        r.calls,
-        r.served,
-        r.dropped,
-        r.refused_calls,
-        r.upgrades_pushed,
-        r.upgrades_skipped,
-        r.gate_refused,
-        r.shadow_refused,
-        r.cutovers,
-        r.committed,
-        r.rolled_back,
-        r.aborted_by_crash,
-        r.crash_committed,
-        r.crashes,
-        r.corruptions,
-        r.monitor_trips,
-        r.snapshot_rollbacks,
-        r.storage_faults,
-        r.harmless,
-        r.committed_lost,
-        r.repairs_byte_identical,
-        r.replays_byte_identical,
-        r.final_version,
-        r.consistent_final,
-        r.goodput,
-        r.p99_us,
-    )
+fn fields(r: &E14Run) -> Obj {
+    crate::obj! {
+        "calls": r.calls, "served": r.served, "dropped": r.dropped,
+        "refused_calls": r.refused_calls, "upgrades_pushed": r.upgrades_pushed,
+        "upgrades_skipped": r.upgrades_skipped, "gate_refused": r.gate_refused,
+        "shadow_refused": r.shadow_refused, "cutovers": r.cutovers, "committed": r.committed,
+        "rolled_back": r.rolled_back, "aborted_by_crash": r.aborted_by_crash,
+        "crash_committed": r.crash_committed, "crashes": r.crashes,
+        "corruptions": r.corruptions, "monitor_trips": r.monitor_trips,
+        "snapshot_rollbacks": r.snapshot_rollbacks, "storage_faults": r.storage_faults,
+        "harmless": r.harmless, "committed_lost": r.committed_lost,
+        "repairs_byte_identical": r.repairs_byte_identical,
+        "replays_byte_identical": r.replays_byte_identical, "final_version": r.final_version,
+        "consistent_final": r.consistent_final, "goodput": fixed(r.goodput, 4),
+        "p99_us": r.p99_us,
+    }
 }
 
 impl E14Result {
-    /// Renders the `BENCH_e14.json` artifact (hand-rolled: the workspace
-    /// is dependency-free by design). Deterministic in the seeds.
-    pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let campaigns = self
+    /// The `BENCH_e14.json` artifact. Deterministic in the seeds.
+    pub fn artifact(&self) -> Artifact {
+        let campaigns: Vec<Obj> = self
             .campaigns
             .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"seed\": {}, \"live\": {},\n     \"stw\": {}}}",
-                    c.seed,
-                    json_run(&c.live),
-                    json_run(&c.stw),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e14\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n  \"snapshot_every\": {},\n",
-                "  \"shadow_calls\": {},\n  \"probation_ticks\": {},\n",
-                "  \"restart_us\": {},\n",
-                "  \"all_consistent\": {},\n  \"zero_committed_lost\": {},\n",
-                "  \"replays_byte_identical\": {},\n  \"live_goodput_wins\": {},\n",
-                "  \"goodput_live\": {:.4},\n  \"goodput_stw\": {:.4},\n",
-                "  \"campaigns\": [\n{}\n  ]\n}}\n"
-            ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.calls,
-            self.period_ms,
-            SNAPSHOT_EVERY,
-            SHADOW_CALLS,
-            PROBATION_TICKS,
-            RESTART_US,
-            self.all_consistent,
-            self.zero_committed_lost,
-            self.replays_byte_identical,
-            self.live_goodput_wins,
-            self.goodput_live,
-            self.goodput_stw,
-            campaigns,
+            .map(|c| crate::obj! { "seed": c.seed, "live": fields(&c.live), "stw": fields(&c.stw) })
+            .collect();
+        Artifact::new(
+            "e14",
+            crate::obj! {
+                "seed": self.seeds.first().copied().unwrap_or(0),
+                "seeds": self.seeds.clone(),
+                "calls": self.calls,
+                "period_ms": self.period_ms,
+                "snapshot_every": SNAPSHOT_EVERY,
+                "shadow_calls": SHADOW_CALLS,
+                "probation_ticks": PROBATION_TICKS,
+                "restart_us": RESTART_US,
+                "all_consistent": self.all_consistent,
+                "zero_committed_lost": self.zero_committed_lost,
+                "replays_byte_identical": self.replays_byte_identical,
+                "live_goodput_wins": self.live_goodput_wins,
+                "goodput_live": fixed(self.goodput_live, 4),
+                "goodput_stw": fixed(self.goodput_stw, 4),
+                "campaigns": campaigns,
+            },
         )
     }
 }
@@ -912,27 +868,6 @@ mod tests {
         let a = run(&[7], 200, 20);
         let b = run(&[7], 200, 20);
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn json_artifact_is_well_formed_enough() {
-        let r = run(&[3], 120, 20);
-        let j = r.to_json();
-        assert!(j.contains("\"experiment\": \"e14\""));
-        for key in [
-            "\"all_consistent\"",
-            "\"zero_committed_lost\"",
-            "\"replays_byte_identical\"",
-            "\"live_goodput_wins\"",
-            "\"goodput_live\"",
-            "\"goodput_stw\"",
-            "\"campaigns\"",
-            "\"rolled_back\"",
-            "\"p99_us\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(a.artifact().render(), b.artifact().render());
     }
 }

@@ -57,6 +57,8 @@ use mddsm_sim::net::{Link, Network};
 use mddsm_sim::resource::{args, Args, Outcome};
 use mddsm_sim::{LatencyModel, ResourceHub, SimDuration, SimTime};
 
+use crate::artifacts::{fixed, Artifact, Obj};
+
 /// Virtual cost of bringing a promoted or restarted broker up (µs).
 pub const RESTART_PENALTY_US: u64 = 5_000;
 /// Virtual cost of replaying one journal entry during promotion (µs).
@@ -1231,126 +1233,64 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E15Result {
     }
 }
 
-fn json_run(r: &E15Run) -> String {
-    format!(
-        concat!(
-            "{{\"members\": {}, \"quorum\": {}, \"calls\": {}, \"served\": {}, ",
-            "\"committed\": {}, \"rejected\": {}, \"failed_dead\": {}, \"uncertain\": {}, ",
-            "\"unavailable\": {}, \"failovers\": {}, \"restarts\": {}, ",
-            "\"replica_revivals\": {}, \"anti_entropy_repairs\": {}, ",
-            "\"standby_resyncs\": {}, \"rejoins\": {}, \"fenced_events\": {}, ",
-            "\"reconciles\": {}, \"discarded_stale_lines\": {}, \"crashes\": {}, ",
-            "\"corruptions\": {}, \"monitor_trips\": {}, \"snapshot_rollbacks\": {}, ",
-            "\"storage_faults\": {}, \"harmless\": {}, \"upgrades_pushed\": {}, ",
-            "\"upgrades_applied\": {}, \"upgrades_skipped\": {}, ",
-            "\"upgrades_propagated\": {}, \"committed_lost\": {}, ",
-            "\"divergent_commits\": {}, \"mean_failover_ms\": {:.3}, ",
-            "\"max_failover_ms\": {:.3}, \"retransmits\": {}, \"commit_lsn\": {}, ",
-            "\"journal_bytes\": {}, \"served_alpha\": {}, \"served_beta\": {}, ",
-            "\"state_version\": {}, \"net_delivered\": {}, \"net_lost\": {}, ",
-            "\"net_partitioned\": {}, \"replay_consistent\": {}, \"escalated\": {}, ",
-            "\"one_primary_per_epoch\": {}}}"
-        ),
-        r.members,
-        r.quorum,
-        r.calls,
-        r.served,
-        r.committed,
-        r.rejected,
-        r.failed_dead,
-        r.uncertain,
-        r.unavailable,
-        r.failovers,
-        r.restarts,
-        r.replica_revivals,
-        r.anti_entropy_repairs,
-        r.standby_resyncs,
-        r.rejoins,
-        r.fenced_events,
-        r.reconciles,
-        r.discarded_stale_lines,
-        r.crashes,
-        r.corruptions,
-        r.monitor_trips,
-        r.snapshot_rollbacks,
-        r.storage_faults,
-        r.harmless,
-        r.upgrades_pushed,
-        r.upgrades_applied,
-        r.upgrades_skipped,
-        r.upgrades_propagated,
-        r.committed_lost,
-        r.divergent_commits,
-        r.mean_failover_ms,
-        r.max_failover_ms,
-        r.retransmits,
-        r.commit_lsn,
-        r.journal_bytes,
-        r.served_counters.0,
-        r.served_counters.1,
-        r.state_version,
-        r.net_delivered,
-        r.net_lost,
-        r.net_partitioned,
-        r.replay_consistent,
-        r.escalated,
-        r.one_primary_per_epoch,
-    )
+fn fields(r: &E15Run) -> Obj {
+    crate::obj! {
+        "members": r.members, "quorum": r.quorum, "calls": r.calls, "served": r.served,
+        "committed": r.committed, "rejected": r.rejected, "failed_dead": r.failed_dead,
+        "uncertain": r.uncertain, "unavailable": r.unavailable, "failovers": r.failovers,
+        "restarts": r.restarts, "replica_revivals": r.replica_revivals,
+        "anti_entropy_repairs": r.anti_entropy_repairs, "standby_resyncs": r.standby_resyncs,
+        "rejoins": r.rejoins, "fenced_events": r.fenced_events, "reconciles": r.reconciles,
+        "discarded_stale_lines": r.discarded_stale_lines, "crashes": r.crashes,
+        "corruptions": r.corruptions, "monitor_trips": r.monitor_trips,
+        "snapshot_rollbacks": r.snapshot_rollbacks, "storage_faults": r.storage_faults,
+        "harmless": r.harmless, "upgrades_pushed": r.upgrades_pushed,
+        "upgrades_applied": r.upgrades_applied, "upgrades_skipped": r.upgrades_skipped,
+        "upgrades_propagated": r.upgrades_propagated, "committed_lost": r.committed_lost,
+        "divergent_commits": r.divergent_commits,
+        "mean_failover_ms": fixed(r.mean_failover_ms, 3),
+        "max_failover_ms": fixed(r.max_failover_ms, 3), "retransmits": r.retransmits,
+        "commit_lsn": r.commit_lsn, "journal_bytes": r.journal_bytes,
+        "served_alpha": r.served_counters.0, "served_beta": r.served_counters.1,
+        "state_version": r.state_version, "net_delivered": r.net_delivered,
+        "net_lost": r.net_lost, "net_partitioned": r.net_partitioned,
+        "replay_consistent": r.replay_consistent, "escalated": r.escalated,
+        "one_primary_per_epoch": r.one_primary_per_epoch,
+    }
 }
 
 impl E15Result {
-    /// Renders the `BENCH_e15.json` artifact (hand-rolled: the workspace
-    /// is dependency-free by design). Deterministic in the seeds.
-    pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let campaigns = self
+    /// The `BENCH_e15.json` artifact. Deterministic in the seeds.
+    pub fn artifact(&self) -> Artifact {
+        let campaigns: Vec<Obj> = self
             .campaigns
             .iter()
             .map(|c| {
-                format!(
-                    concat!(
-                        "    {{\"seed\": {}, \"baseline3\": {},\n",
-                        "     \"quorum3\": {},\n     \"baseline5\": {},\n",
-                        "     \"quorum5\": {}}}"
-                    ),
-                    c.seed,
-                    json_run(&c.baseline3),
-                    json_run(&c.quorum3),
-                    json_run(&c.baseline5),
-                    json_run(&c.quorum5),
-                )
+                crate::obj! {
+                    "seed": c.seed, "baseline3": fields(&c.baseline3),
+                    "quorum3": fields(&c.quorum3), "baseline5": fields(&c.baseline5),
+                    "quorum5": fields(&c.quorum5),
+                }
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e15\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n  \"supervise_every\": {},\n",
-                "  \"quorum_zero_lost\": {},\n  \"quorum_zero_divergence\": {},\n",
-                "  \"availability_strictly_better\": {},\n  \"replays_consistent\": {},\n",
-                "  \"one_primary_per_epoch\": {},\n  \"upgrades_propagated\": {},\n",
-                "  \"unavailable_quorum\": {},\n  \"unavailable_baseline\": {},\n",
-                "  \"campaigns\": [\n{}\n  ]\n}}\n"
-            ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.calls,
-            self.period_ms,
-            SUPERVISE_EVERY,
-            self.quorum_zero_lost,
-            self.quorum_zero_divergence,
-            self.availability_strictly_better,
-            self.replays_consistent,
-            self.one_primary_per_epoch,
-            self.upgrades_propagated,
-            self.unavailable_quorum,
-            self.unavailable_baseline,
-            campaigns,
+            .collect();
+        Artifact::new(
+            "e15",
+            crate::obj! {
+                "seed": self.seeds.first().copied().unwrap_or(0),
+                "seeds": self.seeds.clone(),
+                "calls": self.calls,
+                "period_ms": self.period_ms,
+                "supervise_every": SUPERVISE_EVERY,
+                "quorum_zero_lost": self.quorum_zero_lost,
+                "quorum_zero_divergence": self.quorum_zero_divergence,
+                "availability_strictly_better": self.availability_strictly_better,
+                "replays_consistent": self.replays_consistent,
+                "one_primary_per_epoch": self.one_primary_per_epoch,
+                "upgrades_propagated": self.upgrades_propagated,
+                "unavailable_quorum": self.unavailable_quorum,
+                "unavailable_baseline": self.unavailable_baseline,
+                "campaigns": campaigns,
+            },
         )
     }
 }
@@ -1420,26 +1360,6 @@ mod tests {
         let a = run(&[7], 150, 20);
         let b = run(&[7], 150, 20);
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn json_artifact_is_well_formed_enough() {
-        let j = run(&[3], 120, 20).to_json();
-        assert!(j.contains("\"experiment\": \"e15\""));
-        for key in [
-            "\"quorum_zero_lost\"",
-            "\"quorum_zero_divergence\"",
-            "\"availability_strictly_better\"",
-            "\"upgrades_propagated\"",
-            "\"campaigns\"",
-            "\"commit_lsn\"",
-            "\"anti_entropy_repairs\"",
-            "\"net_partitioned\"",
-            "\"one_primary_per_epoch\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(a.artifact().render(), b.artifact().render());
     }
 }

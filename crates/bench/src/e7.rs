@@ -31,6 +31,8 @@ use mddsm_sim::fault::{random_crash_campaign, CrashCampaignConfig, FaultDriver};
 use mddsm_sim::resource::{args, Args, Outcome};
 use mddsm_sim::{LatencyModel, ResourceHub, SimDuration};
 
+use crate::artifacts::{fixed, Artifact, Obj};
+
 /// Virtual cost of bringing a fresh broker process up (µs).
 pub const RESTART_PENALTY_US: u64 = 5_000;
 /// Virtual cost of replaying one journal entry during recovery (µs).
@@ -339,52 +341,32 @@ pub fn run(seed: u64, calls: u64, period_ms: u64) -> E7Result {
     }
 }
 
-fn json_run(r: &E7Run) -> String {
-    format!(
-        concat!(
-            "{{\"calls\": {}, \"succeeded\": {}, \"crashes\": {}, \"stalls\": {}, ",
-            "\"restarts\": {}, \"escalated\": {}, \"replayed_ops\": {}, ",
-            "\"replayed_commands\": {}, \"mean_rto_ms\": {:.3}, \"max_rto_ms\": {:.3}, ",
-            "\"journal_bytes\": {}, \"served_alpha\": {}, \"served_beta\": {}, ",
-            "\"state_version\": {}}}"
-        ),
-        r.calls,
-        r.succeeded,
-        r.crashes,
-        r.stalls,
-        r.restarts,
-        r.escalated,
-        r.replayed_ops,
-        r.replayed_commands,
-        r.mean_rto_ms,
-        r.max_rto_ms,
-        r.journal_bytes,
-        r.served.0,
-        r.served.1,
-        r.state_version,
-    )
+fn fields(r: &E7Run) -> Obj {
+    crate::obj! {
+        "calls": r.calls, "succeeded": r.succeeded, "crashes": r.crashes, "stalls": r.stalls,
+        "restarts": r.restarts, "escalated": r.escalated, "replayed_ops": r.replayed_ops,
+        "replayed_commands": r.replayed_commands, "mean_rto_ms": fixed(r.mean_rto_ms, 3),
+        "max_rto_ms": fixed(r.max_rto_ms, 3), "journal_bytes": r.journal_bytes,
+        "served_alpha": r.served.0, "served_beta": r.served.1,
+        "state_version": r.state_version,
+    }
 }
 
 impl E7Result {
-    /// Renders the `BENCH_e7.json` artifact (hand-rolled: the workspace is
-    /// dependency-free by design). Deterministic in the seed.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e7\",\n  \"seed\": {},\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n",
-                "  \"supervised_trace_identical\": {},\n",
-                "  \"naive_trace_identical\": {},\n",
-                "  \"baseline\": {},\n  \"supervised\": {},\n  \"naive\": {}\n}}\n"
-            ),
-            self.seed,
-            self.calls,
-            self.period_ms,
-            self.supervised_trace_identical,
-            self.naive_trace_identical,
-            json_run(&self.baseline),
-            json_run(&self.supervised),
-            json_run(&self.naive),
+    /// The `BENCH_e7.json` artifact. Deterministic in the seed.
+    pub fn artifact(&self) -> Artifact {
+        Artifact::new(
+            "e7",
+            crate::obj! {
+                "seed": self.seed,
+                "calls": self.calls,
+                "period_ms": self.period_ms,
+                "supervised_trace_identical": self.supervised_trace_identical,
+                "naive_trace_identical": self.naive_trace_identical,
+                "baseline": fields(&self.baseline),
+                "supervised": fields(&self.supervised),
+                "naive": fields(&self.naive),
+            },
         )
     }
 }
@@ -433,7 +415,7 @@ mod tests {
         let a = run(7, 200, 20);
         let b = run(7, 200, 20);
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.artifact().render(), b.artifact().render());
         // A different seed yields a different campaign (the recovered trace
         // stays equal to the baseline either way — that is E7's point — so
         // the seed shows up in the crash/RTO statistics, not the trace).
@@ -450,22 +432,5 @@ mod tests {
                 c.supervised.max_rto_ms
             ),
         );
-    }
-
-    #[test]
-    fn json_artifact_is_well_formed_enough() {
-        let j = run(3, 80, 20).to_json();
-        assert!(j.contains("\"experiment\": \"e7\""));
-        for key in [
-            "\"supervised_trace_identical\"",
-            "\"baseline\"",
-            "\"supervised\"",
-            "\"naive\"",
-            "\"mean_rto_ms\"",
-            "\"replayed_ops\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -39,6 +39,8 @@ use mddsm_sim::{
     ArrivalGenerator, FaultPlan, FaultPlanBuilder, LatencyModel, ResourceHub, SimDuration, SimTime,
 };
 
+use crate::artifacts::{fixed, Artifact, Obj};
+
 /// Virtual cost (and declared `costUs`) of full-fidelity service.
 pub const FULL_COST_US: u64 = 1_000;
 /// Virtual cost (and declared `costUs`) of degraded (lite) service.
@@ -462,57 +464,36 @@ pub fn run(seed: u64, horizon_ms: u64) -> E8Result {
     }
 }
 
-fn json_run(r: &E8Run) -> String {
-    format!(
-        concat!(
-            "{{\"arrivals\": {}, \"executed\": {}, \"timely\": {}, \"late\": {}, ",
-            "\"shed\": {}, \"dropped\": {}, \"deferrals\": {}, ",
-            "\"goodput_per_s\": {:.1}, \"miss_rate\": {:.4}, ",
-            "\"p99_latency_ms\": {:.3}, \"brownout_transitions\": {}, ",
-            "\"final_mode\": \"{}\", \"state_version\": {}}}"
-        ),
-        r.arrivals,
-        r.executed,
-        r.timely,
-        r.late,
-        r.shed,
-        r.dropped,
-        r.deferrals,
-        r.goodput_per_s,
-        r.miss_rate,
-        r.p99_latency_ms,
-        r.brownout_transitions,
-        r.final_mode,
-        r.state_version,
-    )
+fn fields(r: &E8Run) -> Obj {
+    crate::obj! {
+        "arrivals": r.arrivals, "executed": r.executed, "timely": r.timely, "late": r.late,
+        "shed": r.shed, "dropped": r.dropped, "deferrals": r.deferrals,
+        "goodput_per_s": fixed(r.goodput_per_s, 1), "miss_rate": fixed(r.miss_rate, 4),
+        "p99_latency_ms": fixed(r.p99_latency_ms, 3),
+        "brownout_transitions": r.brownout_transitions, "final_mode": r.final_mode.as_str(),
+        "state_version": r.state_version,
+    }
 }
 
 impl E8Result {
-    /// Renders the `BENCH_e8.json` artifact (hand-rolled: the workspace is
-    /// dependency-free by design). Deterministic in the seed.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e8\",\n  \"seed\": {},\n",
-                "  \"horizon_ms\": {},\n  \"spike_factor\": {:.1},\n",
-                "  \"spike_start_ms\": {},\n  \"spike_end_ms\": {},\n",
-                "  \"shed_beats_naive\": {},\n  \"brownout_beats_naive\": {},\n",
-                "  \"crash_trace_identical\": {},\n",
-                "  \"recovered_mode_matches\": {},\n",
-                "  \"naive\": {},\n  \"shed\": {},\n  \"brownout\": {}\n}}\n"
-            ),
-            self.seed,
-            self.horizon_ms,
-            self.spike_factor,
-            self.spike_start_ms,
-            self.spike_end_ms,
-            self.shed_beats_naive,
-            self.brownout_beats_naive,
-            self.crash_trace_identical,
-            self.recovered_mode_matches,
-            json_run(&self.naive),
-            json_run(&self.shed),
-            json_run(&self.brownout),
+    /// The `BENCH_e8.json` artifact. Deterministic in the seed.
+    pub fn artifact(&self) -> Artifact {
+        Artifact::new(
+            "e8",
+            crate::obj! {
+                "seed": self.seed,
+                "horizon_ms": self.horizon_ms,
+                "spike_factor": fixed(self.spike_factor, 1),
+                "spike_start_ms": self.spike_start_ms,
+                "spike_end_ms": self.spike_end_ms,
+                "shed_beats_naive": self.shed_beats_naive,
+                "brownout_beats_naive": self.brownout_beats_naive,
+                "crash_trace_identical": self.crash_trace_identical,
+                "recovered_mode_matches": self.recovered_mode_matches,
+                "naive": fields(&self.naive),
+                "shed": fields(&self.shed),
+                "brownout": fields(&self.brownout),
+            },
         )
     }
 }
@@ -599,31 +580,11 @@ mod tests {
         let a = run(7, 300);
         let b = run(7, 300);
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.artifact().render(), b.artifact().render());
         let c = run(8, 300);
         assert_ne!(
             (a.naive.arrivals, a.shed.shed, a.brownout.timely),
             (c.naive.arrivals, c.shed.shed, c.brownout.timely)
         );
-    }
-
-    #[test]
-    fn json_artifact_is_well_formed_enough() {
-        let j = run(3, 300).to_json();
-        assert!(j.contains("\"experiment\": \"e8\""));
-        for key in [
-            "\"brownout_beats_naive\"",
-            "\"crash_trace_identical\"",
-            "\"recovered_mode_matches\"",
-            "\"naive\"",
-            "\"shed\"",
-            "\"brownout\"",
-            "\"goodput_per_s\"",
-            "\"p99_latency_ms\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.ends_with('\n'));
     }
 }

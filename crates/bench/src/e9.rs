@@ -50,6 +50,8 @@ use mddsm_sim::net::{Link, Network};
 use mddsm_sim::resource::{args, Args, Outcome};
 use mddsm_sim::{LatencyModel, ResourceHub, SimDuration, SimTime};
 
+use crate::artifacts::{fixed, Artifact, Obj};
+
 /// Virtual cost of bringing a promoted or restarted broker up (µs).
 pub const RESTART_PENALTY_US: u64 = 5_000;
 /// Virtual cost of replaying one journal entry during promotion (µs).
@@ -763,94 +765,51 @@ pub fn run(seeds: &[u64], calls: u64, period_ms: u64) -> E9Result {
     }
 }
 
-fn json_run(r: &E9Run) -> String {
-    format!(
-        concat!(
-            "{{\"calls\": {}, \"served\": {}, \"committed\": {}, \"rejected\": {}, ",
-            "\"failed_dead\": {}, \"uncertain\": {}, \"failovers\": {}, \"restarts\": {}, ",
-            "\"standby_resyncs\": {}, \"rejoins\": {}, \"fenced_events\": {}, ",
-            "\"reconciles\": {}, \"discarded_stale_lines\": {}, \"committed_lost\": {}, ",
-            "\"divergent_commits\": {}, \"mean_failover_ms\": {:.3}, ",
-            "\"max_failover_ms\": {:.3}, \"retransmits\": {}, \"journal_bytes\": {}, ",
-            "\"served_alpha\": {}, \"served_beta\": {}, \"state_version\": {}, ",
-            "\"replay_consistent\": {}, \"escalated\": {}, ",
-            "\"one_primary_per_epoch\": {}}}"
-        ),
-        r.calls,
-        r.served,
-        r.committed,
-        r.rejected,
-        r.failed_dead,
-        r.uncertain,
-        r.failovers,
-        r.restarts,
-        r.standby_resyncs,
-        r.rejoins,
-        r.fenced_events,
-        r.reconciles,
-        r.discarded_stale_lines,
-        r.committed_lost,
-        r.divergent_commits,
-        r.mean_failover_ms,
-        r.max_failover_ms,
-        r.retransmits,
-        r.journal_bytes,
-        r.served_counters.0,
-        r.served_counters.1,
-        r.state_version,
-        r.replay_consistent,
-        r.escalated,
-        r.one_primary_per_epoch,
-    )
+fn fields(r: &E9Run) -> Obj {
+    crate::obj! {
+        "calls": r.calls, "served": r.served, "committed": r.committed, "rejected": r.rejected,
+        "failed_dead": r.failed_dead, "uncertain": r.uncertain, "failovers": r.failovers,
+        "restarts": r.restarts, "standby_resyncs": r.standby_resyncs, "rejoins": r.rejoins,
+        "fenced_events": r.fenced_events, "reconciles": r.reconciles,
+        "discarded_stale_lines": r.discarded_stale_lines, "committed_lost": r.committed_lost,
+        "divergent_commits": r.divergent_commits,
+        "mean_failover_ms": fixed(r.mean_failover_ms, 3),
+        "max_failover_ms": fixed(r.max_failover_ms, 3), "retransmits": r.retransmits,
+        "journal_bytes": r.journal_bytes, "served_alpha": r.served_counters.0,
+        "served_beta": r.served_counters.1, "state_version": r.state_version,
+        "replay_consistent": r.replay_consistent, "escalated": r.escalated,
+        "one_primary_per_epoch": r.one_primary_per_epoch,
+    }
 }
 
 impl E9Result {
-    /// Renders the `BENCH_e9.json` artifact (hand-rolled: the workspace is
-    /// dependency-free by design). Deterministic in the seeds.
-    pub fn to_json(&self) -> String {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let campaigns = self
+    /// The `BENCH_e9.json` artifact. Deterministic in the seeds.
+    pub fn artifact(&self) -> Artifact {
+        let campaigns: Vec<Obj> = self
             .campaigns
             .iter()
             .map(|c| {
-                format!(
-                    concat!(
-                        "    {{\"seed\": {}, \"no_replica\": {},\n",
-                        "     \"async_ship\": {},\n     \"ack_ship\": {}}}"
-                    ),
-                    c.seed,
-                    json_run(&c.no_replica),
-                    json_run(&c.async_ship),
-                    json_run(&c.ack_ship),
-                )
+                crate::obj! {
+                    "seed": c.seed, "no_replica": fields(&c.no_replica),
+                    "async_ship": fields(&c.async_ship), "ack_ship": fields(&c.ack_ship),
+                }
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"e9\",\n  \"seed\": {},\n  \"seeds\": [{}],\n",
-                "  \"calls\": {},\n  \"period_ms\": {},\n  \"supervise_every\": {},\n",
-                "  \"ack_zero_lost\": {},\n  \"ack_zero_divergence\": {},\n",
-                "  \"async_loss_observed\": {},\n  \"replays_consistent\": {},\n",
-                "  \"one_primary_per_epoch\": {},\n",
-                "  \"campaigns\": [\n{}\n  ]\n}}\n"
-            ),
-            self.seeds.first().copied().unwrap_or(0),
-            seeds,
-            self.calls,
-            self.period_ms,
-            SUPERVISE_EVERY,
-            self.ack_zero_lost,
-            self.ack_zero_divergence,
-            self.async_loss_observed,
-            self.replays_consistent,
-            self.one_primary_per_epoch,
-            campaigns,
+            .collect();
+        Artifact::new(
+            "e9",
+            crate::obj! {
+                "seed": self.seeds.first().copied().unwrap_or(0),
+                "seeds": self.seeds.clone(),
+                "calls": self.calls,
+                "period_ms": self.period_ms,
+                "supervise_every": SUPERVISE_EVERY,
+                "ack_zero_lost": self.ack_zero_lost,
+                "ack_zero_divergence": self.ack_zero_divergence,
+                "async_loss_observed": self.async_loss_observed,
+                "replays_consistent": self.replays_consistent,
+                "one_primary_per_epoch": self.one_primary_per_epoch,
+                "campaigns": campaigns,
+            },
         )
     }
 }
@@ -957,26 +916,6 @@ mod tests {
         let a = run(&[7], 200, 20);
         let b = run(&[7], 200, 20);
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn json_artifact_is_well_formed_enough() {
-        let j = run(&[3], 120, 20).to_json();
-        assert!(j.contains("\"experiment\": \"e9\""));
-        for key in [
-            "\"ack_zero_lost\"",
-            "\"ack_zero_divergence\"",
-            "\"async_loss_observed\"",
-            "\"campaigns\"",
-            "\"committed_lost\"",
-            "\"divergent_commits\"",
-            "\"fenced_events\"",
-            "\"mean_failover_ms\"",
-            "\"one_primary_per_epoch\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(a.artifact().render(), b.artifact().render());
     }
 }

@@ -21,7 +21,8 @@
 //!
 //! The same functions back the micro-benches (`benches/`, via [`micro`])
 //! and the `experiments` binary that prints the paper-style tables.
-//! [`artifacts`] validates the emitted `BENCH_*.json` files in CI.
+//! [`artifacts`] writes the `BENCH_*.json` files and holds a fresh run
+//! to the committed copies in CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

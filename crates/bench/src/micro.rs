@@ -6,8 +6,15 @@
 //! spent, and report the median per-iteration latency. Use the
 //! `experiments` binary for the paper-style tables; these benches exist to
 //! watch for regressions in the per-call prices behind E2/E3.
+//! [`hotpath_cost`] is the interleaved A/B probe behind the wall-clock
+//! members of the E10 and E13 artifacts.
 
 use std::time::{Duration, Instant};
+
+use mddsm_broker::GenericBroker;
+use mddsm_sim::resource::args;
+
+use crate::artifacts::{fixed, Obj};
 
 /// Target measurement time per benchmark.
 const MEASURE_BUDGET: Duration = Duration::from_millis(400);
@@ -67,6 +74,70 @@ impl BenchGroup {
     }
 }
 
+/// Wall-clock cost of a broker variant on the clean call path, against
+/// the base broker (see [`hotpath_cost`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HotpathCost {
+    /// Nanoseconds per clean call, base broker.
+    pub base_ns_per_call: f64,
+    /// Nanoseconds per clean call, variant broker.
+    pub variant_ns_per_call: f64,
+    /// Relative cost of the variant, percent of the base call.
+    pub pct: f64,
+}
+
+impl HotpathCost {
+    /// The artifact's `wall_clock` member.
+    pub fn fields(&self) -> Obj {
+        crate::obj! {
+            "base_ns_per_call": fixed(self.base_ns_per_call, 1),
+            "variant_ns_per_call": fixed(self.variant_ns_per_call, 1),
+            "overhead_pct": fixed(self.pct, 2),
+        }
+    }
+}
+
+/// Wall-clock A/B probe: `reps` interleaved clean runs of `calls` `op`
+/// calls on `broker(false, rep)` (base) and `broker(true, rep)`
+/// (variant), timing only the calls. The per-side *minimum* is the least
+/// preemption-contaminated estimate of the true cost (standard
+/// microbenchmark practice); positive percent = the variant costs time.
+/// The percentage is relative to the raw in-memory call path (a few µs);
+/// against any real resource latency the absolute ns/call figure is the
+/// honest one. These numbers vary by machine, so artifacts carry them in
+/// their `wall_clock` member only.
+pub fn hotpath_cost(
+    calls: u64,
+    reps: u64,
+    broker: impl Fn(bool, u64) -> GenericBroker,
+) -> HotpathCost {
+    let time = |variant: bool, rep: u64| {
+        let mut b = broker(variant, rep);
+        let t0 = Instant::now();
+        for i in 0..calls {
+            let n = i.to_string();
+            let r = b.call("op", &args(&[("n", &n)])).expect("clean call");
+            assert!(r.outcome.is_ok());
+        }
+        t0.elapsed().as_nanos()
+    };
+    let (mut base, mut variant) = (u128::MAX, u128::MAX);
+    for rep in 0..reps.max(1) {
+        base = base.min(time(false, rep));
+        variant = variant.min(time(true, rep));
+    }
+    let per = |total: u128| total as f64 / calls.max(1) as f64;
+    HotpathCost {
+        base_ns_per_call: per(base),
+        variant_ns_per_call: per(variant),
+        pct: if base == 0 {
+            0.0
+        } else {
+            (variant as f64 - base as f64) / base as f64 * 100.0
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,5 +152,16 @@ mod tests {
         });
         g.finish();
         assert!(acc > 0);
+    }
+
+    #[test]
+    fn hotpath_probes_yield_finite_numbers() {
+        for cost in [
+            crate::e10::hotpath_cost(60, 3),
+            crate::e13::hotpath_cost(60, 3),
+        ] {
+            assert!(cost.pct.is_finite(), "{cost:?}");
+            assert!(cost.base_ns_per_call > 0.0 && cost.variant_ns_per_call > 0.0);
+        }
     }
 }

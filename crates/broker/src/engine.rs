@@ -1266,8 +1266,21 @@ impl GenericBroker {
         journal_bytes: &[u8],
         invariants: &[&str],
     ) -> Result<(Self, RecoveryReport)> {
-        let mut broker = Self::from_model(model, hub)?;
         let recovered = journal::replay(journal_bytes)?;
+        Self::resume(model, hub, journal_bytes, recovered, invariants)
+    }
+
+    /// The second half of [`GenericBroker::recover`]: resumes a broker
+    /// over `journal_bytes`, whose replay `recovered` the caller already
+    /// holds — so every recovery entry point replays the journal once.
+    pub(crate) fn resume(
+        model: &Model,
+        hub: ResourceHub,
+        journal_bytes: &[u8],
+        recovered: journal::Recovered,
+        invariants: &[&str],
+    ) -> Result<(Self, RecoveryReport)> {
+        let mut broker = Self::from_model(model, hub)?;
 
         // Recovery-time invariant checking goes through the same compiled
         // monitors as the online path (one compile, pre-resolved state

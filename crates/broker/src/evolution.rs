@@ -586,8 +586,8 @@ impl LiveUpgrade {
 /// Version-aware crash recovery: replays the journal to find which model
 /// version its newest `Upgrade` record put live, picks that model from
 /// `versions` (a `(version, model)` table; version 1 is the
-/// pre-evolution model), and runs the ordinary [`GenericBroker::recover`]
-/// path with it. A crash mid-upgrade therefore resolves to *one*
+/// pre-evolution model), and resumes it over that one replay as the
+/// ordinary [`GenericBroker::recover`] path does. A crash mid-upgrade therefore resolves to *one*
 /// consistent model — whichever side of the atomic cutover record
 /// survived — and never to a hybrid. Refuses with
 /// [`BrokerError::RecoveryDiverged`] when the journal pins a version the
@@ -598,7 +598,8 @@ pub fn recover_versioned(
     journal_bytes: &[u8],
     invariants: &[&str],
 ) -> Result<(GenericBroker, RecoveryReport)> {
-    let pinned = journal::replay(journal_bytes)?.model_version;
+    let recovered = journal::replay(journal_bytes)?;
+    let pinned = recovered.model_version;
     let model = versions
         .iter()
         .find(|(v, _)| *v == pinned)
@@ -610,7 +611,7 @@ pub fn recover_versioned(
                 versions.iter().map(|(v, _)| *v).collect::<Vec<_>>()
             ))
         })?;
-    GenericBroker::recover(model, hub, journal_bytes, invariants)
+    GenericBroker::resume(model, hub, journal_bytes, recovered, invariants)
 }
 
 #[cfg(test)]

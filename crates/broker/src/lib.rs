@@ -69,7 +69,7 @@ pub use journal::{Journal, JournalSink, MemorySink, TornTail};
 pub use model::{broker_metamodel, BrokerModelBuilder, Resilience};
 pub use monitor::{CompiledMonitor, MonitorSet, MonitorTrip};
 pub use replication::{
-    recover_with_anti_entropy, repair_journal, select_repair_source, JournalRepair,
+    recover_with_anti_entropy, repair_journal, repair_reason, select_repair_source, JournalRepair,
     QuorumReplicator, QuorumShipReport, ReplicaPeer, ReplicaSetConfig, ShipMode, Standby,
 };
 pub use state::StateManager;

@@ -32,7 +32,7 @@
 //! through recovery ([`reconcile`]).
 
 use crate::engine::{GenericBroker, RecoveryReport};
-use crate::journal::{self, CommandKind, JournalRecord};
+use crate::journal::{self, CommandKind, JournalRecord, Recovered};
 use crate::monitor::{MonitorSet, MonitorTrip};
 use crate::state::StateManager;
 use crate::{BrokerError, Result};
@@ -882,6 +882,12 @@ pub struct JournalRepair {
 /// the mirror covers — the error propagates and the caller falls back to
 /// quarantine.
 pub fn repair_journal(local: &[u8], standby: &Standby) -> Result<(Vec<u8>, JournalRepair)> {
+    heal(local, standby).map(|(healed, repair, _)| (healed, repair))
+}
+
+/// [`repair_journal`], also handing back the healed journal's replay so
+/// recovery resumes over it without replaying it again.
+fn heal(local: &[u8], standby: &Standby) -> Result<(Vec<u8>, JournalRepair, Recovered)> {
     let mirror = standby.journal_bytes();
     if mirror.is_empty() {
         return Err(BrokerError::RecoveryDiverged(
@@ -923,7 +929,7 @@ pub fn repair_journal(local: &[u8], standby: &Standby) -> Result<(Vec<u8>, Journ
         healed_bytes: healed.len(),
         source_node: standby.node().to_owned(),
     };
-    Ok((healed, report))
+    Ok((healed, report, replayed))
 }
 
 /// Picks the freshest anti-entropy source from a replica set: the
@@ -948,15 +954,10 @@ pub fn select_repair_source<'a>(candidates: &[&'a Standby]) -> Option<&'a Standb
     best
 }
 
-/// Recovery with the anti-entropy fallback. The freshest of the reachable
-/// `peers` ([`select_repair_source`]) is the repair source; with none in
-/// reach this is the typed [`BrokerError::RecoveryDiverged`], and the
-/// caller falls back to plain recovery or quarantine. Recovery is the
-/// ordinary [`GenericBroker::recover`] when the journal is clean or
-/// merely torn *and* the source holds nothing beyond it; otherwise the
-/// journal is first healed from the source's mirror with
-/// [`repair_journal`] and recovery runs over the healed bytes. Repair
-/// triggers on:
+/// The anti-entropy repair criterion: why `journal_bytes`, whose replay
+/// is `replayed`, must be healed from `source`'s mirror before recovery,
+/// or `None` when plain recovery loses nothing the source holds. Repair
+/// is needed on:
 ///
 /// * interior [`BrokerError::JournalDamaged`] — bit-rot the mirror can
 ///   replace;
@@ -966,6 +967,40 @@ pub fn select_repair_source<'a>(candidates: &[&'a Standby]) -> Option<&'a Standb
 ///   *clean* tail loss (unsynced writes dropped by a power cut) leaves no
 ///   torn marker and may drop only command records (which carry no LSN),
 ///   so it is only visible by comparing against the mirror.
+///
+/// Any other replay error is not repairable from a mirror: `None`, and
+/// recovery reports the error itself.
+pub fn repair_reason(
+    journal_bytes: &[u8],
+    replayed: &Result<Recovered>,
+    source: &Standby,
+) -> Option<String> {
+    match replayed {
+        Err(BrokerError::JournalDamaged { lsn, offset, why }) => Some(format!(
+            "journal damaged at lsn {lsn}, byte {offset}: {why}"
+        )),
+        Err(_) => None,
+        Ok(r) => {
+            let intact = match &r.torn {
+                Some(t) => &journal_bytes[..t.offset as usize],
+                None => journal_bytes,
+            };
+            let mirror = source.journal_bytes();
+            let gap = (mirror.len() > intact.len() && mirror.starts_with(intact))
+                || r.state.version() < source.applied_lsn();
+            gap.then(|| "acknowledged records missing from the journal tail".to_owned())
+        }
+    }
+}
+
+/// Recovery with the anti-entropy fallback. The freshest of the reachable
+/// `peers` ([`select_repair_source`]) is the repair source; with none in
+/// reach this is the typed [`BrokerError::RecoveryDiverged`], and the
+/// caller falls back to plain recovery or quarantine. Recovery is the
+/// ordinary [`GenericBroker::recover`] when [`repair_reason`] finds
+/// nothing to repair; otherwise the journal is first healed from the
+/// source's mirror with [`repair_journal`] and recovery runs over the
+/// healed bytes. Each journal is replayed once.
 ///
 /// The repair provenance is journaled as a `Note` on the recovered
 /// instance.
@@ -981,25 +1016,14 @@ pub fn recover_with_anti_entropy(
             "anti-entropy recovery needs at least one reachable replica mirror".to_owned(),
         )
     })?;
-    let mirror = standby.journal_bytes();
-    let needs_repair = match journal::replay(journal_bytes) {
-        Err(BrokerError::JournalDamaged { .. }) => true,
-        Err(e) => return Err(e),
-        Ok(r) => {
-            let intact = match &r.torn {
-                Some(t) => &journal_bytes[..t.offset as usize],
-                None => journal_bytes,
-            };
-            (mirror.len() > intact.len() && mirror.starts_with(intact))
-                || r.state.version() < standby.applied_lsn()
-        }
-    };
-    if !needs_repair {
-        let (broker, report) = GenericBroker::recover(model, hub, journal_bytes, invariants)?;
+    let replayed = journal::replay(journal_bytes);
+    if repair_reason(journal_bytes, &replayed, standby).is_none() {
+        let (broker, report) =
+            GenericBroker::resume(model, hub, journal_bytes, replayed?, invariants)?;
         return Ok((broker, report, None));
     }
-    let (healed, repair) = repair_journal(journal_bytes, standby)?;
-    let (mut broker, report) = GenericBroker::recover(model, hub, &healed, invariants)?;
+    let (healed, repair, recovered) = heal(journal_bytes, standby)?;
+    let (mut broker, report) = GenericBroker::resume(model, hub, &healed, recovered, invariants)?;
     broker.journal_note(&format!(
         "anti-entropy repair from standby {}: {} common line(s), {} fetched, {} kept from tail",
         standby.node(),
@@ -1338,10 +1362,10 @@ mod tests {
         let mid = non_newline_at(&pristine, pristine.len() / 2);
         let mut damaged = pristine.clone();
         damaged[mid] ^= 0x01;
-        assert!(matches!(
-            journal::replay(&damaged),
-            Err(BrokerError::JournalDamaged { .. })
-        ));
+        let replayed = journal::replay(&damaged);
+        assert!(matches!(replayed, Err(BrokerError::JournalDamaged { .. })));
+        let reason = repair_reason(&damaged, &replayed, &standby).expect("damage needs repair");
+        assert!(reason.starts_with("journal damaged at lsn "), "{reason}");
         // The standby's mirror covers the damage: the healed journal is
         // byte-identical to the pristine one.
         let (healed, repair) = repair_journal(&damaged, &standby).unwrap();
@@ -1421,6 +1445,7 @@ mod tests {
             .rposition(|&b| b == b'\n')
             .map_or(0, |i| i + 1);
         let torn = &bytes[..last_line_start + 3];
+        assert_eq!(repair_reason(torn, &journal::replay(torn), &standby), None);
         let (recovered, report, rep) =
             recover_with_anti_entropy(&m, hub(), torn, &[], &[&standby]).unwrap();
         assert!(rep.is_none(), "unacked tear needs no standby round-trip");
@@ -1444,6 +1469,10 @@ mod tests {
         let clipped = &pristine[..cut];
         let r = journal::replay(clipped).unwrap();
         assert!(r.torn.is_none(), "a clean cut leaves no torn marker");
+        assert_eq!(
+            repair_reason(clipped, &Ok(r), &standby).as_deref(),
+            Some("acknowledged records missing from the journal tail")
+        );
         let (recovered, _report, rep) =
             recover_with_anti_entropy(&m, hub(), clipped, &[], &[&standby]).unwrap();
         assert!(rep.is_some(), "the mirror comparison must force a repair");

@@ -539,3 +539,79 @@ fn dispatch_is_deterministic() {
         assert_eq!(run(), run());
     }
 }
+
+/// Seeded byte-level damage: 1–4 of a bit flip, an inserted byte, a
+/// deleted byte, or a truncation.
+fn mutate_bytes(bytes: &[u8], gen: &mut SimRng) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for _ in 0..gen.range(1, 5) {
+        let at = gen.index(out.len() + 1);
+        match gen.range(0, 4) {
+            0 if at < out.len() => out[at] ^= 1 << gen.range(0, 8),
+            1 => out.insert(at, gen.range(0, 256) as u8),
+            2 if at < out.len() => {
+                out.remove(at);
+            }
+            _ => out.truncate(at),
+        }
+    }
+    out
+}
+
+/// The journal readers take bytes from disk, so no damage may panic
+/// them: a real journal (framed and legacy dialects) damaged by the
+/// storage-fault transforms and by random byte mutations makes
+/// `replay`, `parse_line` and `GenericBroker::recover` return `Ok` or a
+/// typed error, every time.
+#[test]
+fn journal_readers_never_panic_on_damaged_journals() {
+    use mddsm_sim::fault::{drop_tail_records, flip_bit, tear_tail, truncate_newest_snapshot};
+
+    let model = BrokerModelBuilder::new("jd")
+        .call_handler("h", "open")
+        .action("h", "doOpen", "svc", "open", &[], None, &["opens=+1"])
+        .monitor("nonneg", "always self.opens = null or self.opens >= 0")
+        .build();
+    for framed in [true, false] {
+        let mut b = GenericBroker::from_model(&model, hub()).unwrap();
+        b.enable_journal_with(4, framed);
+        for i in 0..30 {
+            b.call("open", &Args::new()).unwrap();
+            if i % 7 == 3 {
+                // Escaped and multi-byte values.
+                b.corrupt_state("tier", &format!("αβ {i}%\nx"));
+            }
+        }
+        // A monitor trip ends the journal.
+        assert_eq!(b.corrupt_state("opens", "-1").len(), 1);
+        let pristine = b.journal_bytes().unwrap().to_vec();
+        let mut gen = SimRng::seed_from_u64(0xB9_0000 + u64::from(framed));
+        let (mut refused, mut torn) = (0, 0);
+        for _ in 0..300 {
+            let len = pristine.len() as u64;
+            let mut damaged = match gen.range(0, 6) {
+                0 => tear_tail(&pristine, gen.range(0, 200)),
+                1 => flip_bit(&pristine, gen.range(0, len)),
+                2 => drop_tail_records(&pristine, gen.range(0, 6)),
+                3 => truncate_newest_snapshot(&pristine),
+                _ => mutate_bytes(&pristine, &mut gen),
+            };
+            if gen.chance(0.3) {
+                damaged = mutate_bytes(&damaged, &mut gen);
+            }
+            match journal::replay(&damaged) {
+                Ok(r) => torn += usize::from(r.torn.is_some()),
+                Err(_) => refused += 1,
+            }
+            for line in String::from_utf8_lossy(&damaged).lines() {
+                let _ = journal::parse_line(line);
+            }
+            let _ = GenericBroker::recover(&model, hub(), &damaged, &["self.opens >= 0"]);
+        }
+        // The damage reached both the refusal and the torn-tail paths.
+        assert!(
+            refused > 0 && torn > 0,
+            "framed={framed}: {refused} refused, {torn} torn"
+        );
+    }
+}

@@ -162,6 +162,45 @@ fn weave_is_idempotent() {
     }
 }
 
+/// Seeded byte-level damage to a valid source: 1–4 of a bit flip, an
+/// inserted byte (often a delimiter), a deleted byte, or a truncation.
+/// Damage that breaks UTF-8 reaches the parser as U+FFFD.
+fn mutate(src: &str, gen: &mut Gen) -> String {
+    const DELIMS: &[u8] = b"\"\\{}[]()<>-=:;.,|~#/\n ";
+    let mut bytes = src.as_bytes().to_vec();
+    for _ in 0..gen.range(1, 5) {
+        let at = gen.range(0, bytes.len() as u64 + 1) as usize;
+        match gen.range(0, 4) {
+            0 if at < bytes.len() => bytes[at] ^= 1 << gen.range(0, 8),
+            1 => {
+                let b = if gen.range(0, 2) == 0 {
+                    DELIMS[gen.range(0, DELIMS.len() as u64) as usize]
+                } else {
+                    gen.range(0, 256) as u8
+                };
+                bytes.insert(at, b);
+            }
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.truncate(at),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Valid OCL-lite sources covering every operator family.
+const CONSTRAINTS: &[&str] = &[
+    "self.opens = null or self.opens >= 0",
+    "self.tier = null or self.tier = \"alpha\" or self.tier = \"beta\"",
+    "self.a > 0 and (self.b = null or self.a < self.c)",
+    "self.parties->exists(p | p.bw > threshold)",
+    "self.xs->forAll(p | p.a > t) implies not (self.n <> 2)",
+    "1 + 2.5 * -3 = 3.5 / 2 and K::L = K::L",
+    "xs->count(1) = 2 and xs->includes(y) and xs->size() > 0",
+    "self.isKindOf(Session) and self.name = \"é→\\\"x\"",
+];
+
 #[test]
 fn constraint_parser_never_panics() {
     for case in 0..128u64 {
@@ -171,6 +210,33 @@ fn constraint_parser_never_panics() {
             .map(|_| char::from(b' ' + gen.range(0, 95) as u8))
             .collect();
         let _ = mddsm_meta::constraint::parse(&src);
+    }
+    for src in CONSTRAINTS {
+        mddsm_meta::constraint::parse(src).expect("seed source is valid");
+    }
+    for case in 0..20_000u64 {
+        let mut gen = Gen(0xAB_0000 + case);
+        let src = CONSTRAINTS[gen.range(0, CONSTRAINTS.len() as u64) as usize];
+        let _ = mddsm_meta::constraint::parse(&mutate(src, &mut gen));
+    }
+}
+
+#[test]
+fn temporal_parser_never_panics() {
+    use mddsm_meta::constraint::temporal::parse_property;
+    let mut sources: Vec<String> = vec![
+        "never self.breaker = 1 during self.shed = 1".into(),
+        "at-most-one primary per epoch".into(),
+        "at-most-one node.primary per cluster.epoch".into(),
+    ];
+    sources.extend(CONSTRAINTS.iter().map(|c| format!("always {c}")));
+    for src in &sources {
+        parse_property(src).expect("seed source is valid");
+    }
+    for case in 0..20_000u64 {
+        let mut gen = Gen(0xAC_0000 + case);
+        let src = &sources[gen.range(0, sources.len() as u64) as usize];
+        let _ = parse_property(&mutate(src, &mut gen));
     }
 }
 
@@ -189,6 +255,18 @@ fn text_parser_never_panics() {
             })
             .collect();
         let _ = text::parse(&src);
+    }
+    for case in 0..4_000u64 {
+        let mut gen = Gen(0xAD_0000 + case);
+        let mut m = arb_model(&mut gen);
+        let first = m.iter().next().map(|(id, _)| id);
+        if let Some(id) = first {
+            // Escapes and multi-byte characters in a string literal.
+            m.set_attr(id, "note", Value::from("é→ \"q\" \\ \t\n"));
+        }
+        let src = text::write(&m);
+        text::parse(&src).expect("written model must parse");
+        let _ = text::parse(&mutate(&src, &mut gen));
     }
 }
 
