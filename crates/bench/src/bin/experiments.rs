@@ -217,14 +217,14 @@ fn run_e9() {
             println!(
                 "    {:<10} committed {:>4}/{:<4}  lost {:>3}  diverged {:>3}  rejected {:>3}  failovers {:>2}  fenced {:>2}  mean failover {:>7.2} ms",
                 name,
-                v.committed,
+                v.group.committed,
                 v.calls,
-                v.committed_lost,
-                v.divergent_commits,
-                v.rejected,
-                v.failovers + v.restarts,
-                v.fenced_events,
-                v.mean_failover_ms
+                v.group.committed_lost,
+                v.group.divergent_commits,
+                v.served.rejected,
+                v.group.failovers + v.group.restarts,
+                v.group.fenced_events,
+                v.group.mean_failover_ms
             );
         }
     }
@@ -483,16 +483,16 @@ fn run_e15() {
             println!(
                 "    {:<10} committed {:>4}/{:<4}  lost {:>3}  diverged {:>2}  unavailable {:>3}  failovers {:>2}  restarts {:>2}  repairs {:>2}  rejoins {:>2}  mean failover {:>7.2} ms",
                 name,
-                v.committed,
+                v.group.committed,
                 v.calls,
-                v.committed_lost,
-                v.divergent_commits,
+                v.group.committed_lost,
+                v.group.divergent_commits,
                 v.unavailable,
-                v.failovers,
-                v.restarts,
-                v.anti_entropy_repairs,
-                v.rejoins,
-                v.mean_failover_ms
+                v.group.failovers,
+                v.group.restarts,
+                v.group.anti_entropy_repairs,
+                v.group.rejoins,
+                v.group.mean_failover_ms
             );
         }
     }

@@ -45,11 +45,12 @@ use mddsm_meta::Model;
 use mddsm_sim::fault::{
     random_corruption_campaign, ComponentTarget, CorruptionCampaignConfig, FaultDriver,
 };
-use mddsm_sim::resource::{args, Args, Outcome};
-use mddsm_sim::{LatencyModel, ResourceHub, SimDuration};
+use mddsm_sim::resource::args;
+use mddsm_sim::SimDuration;
 
 use crate::artifacts::{Artifact, Obj};
 use crate::micro::HotpathCost;
+use crate::tier::hub;
 
 /// Journal snapshot cadence (entries between snapshots) — also the
 /// rollback granularity after a quarantine.
@@ -79,23 +80,6 @@ pub const INVARIANTS: &[&str] = &[
 /// The invariant-violating mutations the campaign draws from; each one
 /// violates exactly one of [`MONITORS`].
 pub const CORRUPTIONS: &[(&str, &str)] = &[("opens", "-7"), ("opens", "-1"), ("tier", "gamma")];
-
-fn hub(seed: u64) -> ResourceHub {
-    let mut h = ResourceHub::new(seed);
-    h.register(
-        "sim.alpha",
-        LatencyModel::fixed_ms(3),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h.register(
-        "sim.beta",
-        LatencyModel::fixed_ms(5),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h
-}
 
 /// The E10 broker model: the E9 tier flip-flop (routing depends on the
 /// runtime model, so a corrupted model visibly changes behaviour), with

@@ -48,8 +48,7 @@ use mddsm_broker::{
 };
 use mddsm_meta::Model;
 use mddsm_sim::fault::{
-    drop_tail_records, flip_bit, random_storage_campaign, tear_tail, truncate_newest_snapshot,
-    ComponentTarget, FaultDriver, StorageCampaignConfig,
+    random_storage_campaign, ComponentTarget, FaultDriver, StorageCampaignConfig, StorageFault,
 };
 use mddsm_sim::resource::{args, Args, Outcome};
 use mddsm_sim::{LatencyModel, ResourceHub, SimDuration, SimTime};
@@ -65,7 +64,8 @@ pub const SNAPSHOT_EVERY: u64 = 16;
 /// corrupted naive journal *replays* rather than being caught by luck.
 pub const INVARIANTS: &[&str] = &["self.count = null or self.count >= 0"];
 
-fn hub(seed: u64) -> ResourceHub {
+/// The one resource the E13 and E14 models call.
+pub(crate) fn hub(seed: u64) -> ResourceHub {
     let mut h = ResourceHub::new(seed);
     h.register(
         "sim.store",
@@ -115,15 +115,6 @@ pub enum Variant {
     SelfHealing,
 }
 
-/// One storage-fault event as delivered by the campaign driver.
-#[derive(Debug, Clone, Copy)]
-enum StorageFault {
-    Torn(u64),
-    Flip(u64),
-    Drop(u64),
-    Snap,
-}
-
 /// Routes the campaign's storage events out of the fault driver.
 #[derive(Default)]
 struct StorageSink(Vec<StorageFault>);
@@ -141,7 +132,7 @@ impl ComponentTarget for StorageSink {
         self.0.push(StorageFault::Drop(records));
     }
     fn truncate_snapshot(&mut self, _component: &str) {
-        self.0.push(StorageFault::Snap);
+        self.0.push(StorageFault::TruncateSnapshot);
     }
 }
 
@@ -270,24 +261,13 @@ fn apply_storage_fault(
 ) -> GenericBroker {
     run.faults += 1;
     let pristine = broker.journal_bytes().expect("journaling on").to_vec();
-    let damaged = match fault {
-        StorageFault::Torn(bytes) => {
-            run.torn_faults += 1;
-            tear_tail(&pristine, bytes)
-        }
-        StorageFault::Flip(offset) => {
-            run.flip_faults += 1;
-            flip_bit(&pristine, offset)
-        }
-        StorageFault::Drop(records) => {
-            run.drop_faults += 1;
-            drop_tail_records(&pristine, records)
-        }
-        StorageFault::Snap => {
-            run.snap_faults += 1;
-            truncate_newest_snapshot(&pristine)
-        }
-    };
+    match fault {
+        StorageFault::Torn(_) => run.torn_faults += 1,
+        StorageFault::Flip(_) => run.flip_faults += 1,
+        StorageFault::Drop(_) => run.drop_faults += 1,
+        StorageFault::TruncateSnapshot => run.snap_faults += 1,
+    }
+    let damaged = fault.apply(&pristine);
     if damaged == pristine {
         run.harmless += 1;
         return broker;

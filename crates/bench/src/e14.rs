@@ -44,10 +44,11 @@ use mddsm_sim::fault::{
     drop_tail_records, random_upgrade_campaign, tear_tail, ComponentTarget, FaultDriver,
     UpgradeCampaignConfig,
 };
-use mddsm_sim::resource::{args, Args, Outcome};
-use mddsm_sim::{LatencyModel, ResourceHub, SimDuration, SimTime};
+use mddsm_sim::resource::args;
+use mddsm_sim::{SimDuration, SimTime};
 
 use crate::artifacts::{fixed, Artifact, Obj};
+use crate::e13::hub;
 
 /// Journal snapshot cadence (entries between snapshots).
 pub const SNAPSHOT_EVERY: u64 = 24;
@@ -69,17 +70,6 @@ pub const RESTART_US: u64 = 80_000;
 
 /// Recovery-time invariants, shared by every model version.
 pub const INVARIANTS: &[&str] = &["self.count = null or self.count >= 0"];
-
-fn hub(seed: u64) -> ResourceHub {
-    let mut h = ResourceHub::new(seed);
-    h.register(
-        "sim.store",
-        LatencyModel::fixed_ms(3),
-        SimDuration::from_millis(250),
-        Box::new(|_: &str, _: &Args| Outcome::ok()),
-    );
-    h
-}
 
 fn base(name: &str) -> BrokerModelBuilder {
     BrokerModelBuilder::new(name)

@@ -80,7 +80,8 @@ impl BenchGroup {
 pub struct HotpathCost {
     /// Nanoseconds per clean call, base broker.
     pub base_ns_per_call: f64,
-    /// Nanoseconds per clean call, variant broker.
+    /// Nanoseconds per clean call, variant broker: the base figure times
+    /// the median paired ratio.
     pub variant_ns_per_call: f64,
     /// Relative cost of the variant, percent of the base call.
     pub pct: f64,
@@ -97,12 +98,14 @@ impl HotpathCost {
     }
 }
 
-/// Wall-clock A/B probe: `reps` interleaved clean runs of `calls` `op`
-/// calls on `broker(false, rep)` (base) and `broker(true, rep)`
-/// (variant), timing only the calls. The per-side *minimum* is the least
-/// preemption-contaminated estimate of the true cost (standard
-/// microbenchmark practice); positive percent = the variant costs time.
-/// The percentage is relative to the raw in-memory call path (a few µs);
+/// Wall-clock A/B probe: `reps` paired clean runs of `calls` `op` calls
+/// on `broker(false, rep)` (base) and `broker(true, rep)` (variant),
+/// timing only the calls. Each rep runs both sides back to back, so a
+/// slow phase of a shared machine slows both; the overhead is the median
+/// of the per-rep variant/base ratios. The base ns/call is its median
+/// over the reps and the variant's is that times the ratio, so the
+/// three numbers agree. Positive percent = the variant costs time. The
+/// percentage is relative to the raw in-memory call path (a few µs);
 /// against any real resource latency the absolute ns/call figure is the
 /// honest one. These numbers vary by machine, so artifacts carry them in
 /// their `wall_clock` member only.
@@ -119,22 +122,38 @@ pub fn hotpath_cost(
             let r = b.call("op", &args(&[("n", &n)])).expect("clean call");
             assert!(r.outcome.is_ok());
         }
-        t0.elapsed().as_nanos()
+        t0.elapsed().as_nanos() as f64 / calls.max(1) as f64
     };
-    let (mut base, mut variant) = (u128::MAX, u128::MAX);
-    for rep in 0..reps.max(1) {
-        base = base.min(time(false, rep));
-        variant = variant.min(time(true, rep));
-    }
-    let per = |total: u128| total as f64 / calls.max(1) as f64;
+    let pairs: Vec<(f64, f64)> = (0..reps.max(1))
+        .map(|rep| (time(false, rep), time(true, rep)))
+        .collect();
+    let ratios: Vec<f64> = pairs
+        .iter()
+        .filter(|(base, _)| *base > 0.0)
+        .map(|(base, variant)| variant / base)
+        .collect();
+    let ratio = if ratios.is_empty() {
+        1.0
+    } else {
+        median(ratios)
+    };
+    let base = median(pairs.iter().map(|p| p.0).collect());
     HotpathCost {
-        base_ns_per_call: per(base),
-        variant_ns_per_call: per(variant),
-        pct: if base == 0 {
-            0.0
-        } else {
-            (variant as f64 - base as f64) / base as f64 * 100.0
-        },
+        base_ns_per_call: base,
+        variant_ns_per_call: base * ratio,
+        pct: (ratio - 1.0) * 100.0,
+    }
+}
+
+/// The median of a non-empty sample (the mean of the middle two for an
+/// even count).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
     }
 }
 

@@ -1349,6 +1349,12 @@ impl GenericBroker {
         }
     }
 
+    /// The journal's periodic-snapshot cadence: entries between snapshots,
+    /// 0 when journaling or periodic snapshots are off.
+    pub fn snapshot_every(&self) -> u64 {
+        self.journal.as_ref().map_or(0, Journal::snapshot_every)
+    }
+
     /// Consumes the broker and returns its resource hub — the resources
     /// outlive a middleware crash, so a supervisor extracts the hub from
     /// the dead instance and hands it to the recovered one.

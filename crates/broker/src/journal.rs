@@ -740,6 +740,11 @@ impl Journal {
         self.snapshot_every = snapshot_every;
     }
 
+    /// The periodic-snapshot cadence (0 when periodic snapshots are off).
+    pub fn snapshot_every(&self) -> u64 {
+        self.snapshot_every
+    }
+
     /// Total non-snapshot records appended.
     pub fn entries(&self) -> u64 {
         self.entries

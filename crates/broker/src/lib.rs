@@ -37,6 +37,9 @@
 //!   own state manager; promotion fences the old primary behind a
 //!   journaled epoch number, and reconciliation replays the divergent
 //!   journal suffix through the normal recovery path.
+//! * [`group`] — a replica group: the primary, its replicas and its
+//!   supervisor, carrying out the supervisor's decisions (failover,
+//!   restart, revival, quarantine, journal repair, rejoin) itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +54,7 @@ pub mod autonomic;
 pub mod components;
 pub mod engine;
 pub mod evolution;
+pub mod group;
 pub mod journal;
 pub mod model;
 pub mod monitor;
@@ -65,6 +69,7 @@ pub use engine::{AdmittedOutcome, BrokerCallResult, GenericBroker, RecoveryRepor
 pub use evolution::{
     classify_changes, recover_versioned, DeltaClass, LiveUpgrade, UpgradeOutcome, UpgradePhase,
 };
+pub use group::{GroupReport, ReplicaGroup};
 pub use journal::{Journal, JournalSink, MemorySink, TornTail};
 pub use model::{broker_metamodel, BrokerModelBuilder, Resilience};
 pub use monitor::{CompiledMonitor, MonitorSet, MonitorTrip};

@@ -436,8 +436,9 @@ impl Supervisor {
     /// One monitoring cycle at virtual time `now`: evaluates every
     /// component's liveness symptom and returns a decision per unhealthy
     /// component. A `Restart` decision resets the component's flags and
-    /// heartbeat (the caller performs the actual recovery); an `Escalate`
-    /// removes it from supervision.
+    /// heartbeat; an `Escalate` removes it from supervision. The tick
+    /// only decides: a [`crate::group::ReplicaGroup`] carries the
+    /// decisions out (promotion, restart, revival, quarantine, repair).
     pub fn tick(&mut self, now: SimTime) -> Result<Vec<SupervisorDecision>> {
         let now_us = now.as_micros();
         let deadline_us = now_us.saturating_sub(self.policy.stall_after.as_micros()) as i64;

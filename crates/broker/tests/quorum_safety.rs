@@ -11,13 +11,20 @@
 //! every step the committed prefix pinned by
 //! [`journal::prefix_through_lsn`] at the replicator's commit LSN must
 //! be a byte-prefix of the election winner's mirror.
+//!
+//! The same kind of schedule also drives a [`ReplicaGroup`], which
+//! crashes and partitions any member, the primary included, and carries
+//! out its supervisor's failovers, revivals and rejoins itself: after
+//! every supervision cycle the slice committed before it is still a
+//! byte-prefix of the (possibly new) primary's journal, and no fencing
+//! epoch has two primaries.
 
 use std::collections::BTreeMap;
 
 use mddsm_broker::journal;
 use mddsm_broker::{
-    BrokerModelBuilder, GenericBroker, QuorumReplicator, ReplicaPeer, ReplicaSetConfig, ShipMode,
-    Standby,
+    BrokerModelBuilder, GenericBroker, QuorumReplicator, ReplicaGroup, ReplicaPeer,
+    ReplicaSetConfig, RestartPolicy, ShipMode, Standby,
 };
 use mddsm_sim::net::{Link, Network};
 use mddsm_sim::resource::{args, Args, Outcome};
@@ -184,6 +191,139 @@ fn committed_prefix_survives_election_on_5_node_sets() {
     for seed in 0..12u64 {
         run_schedule(0x5_0000 + seed, 5, 3, 60);
     }
+}
+
+/// One seeded minority-failure schedule over a [`ReplicaGroup`] of `n`
+/// nodes: each round may crash any member or partition it (never more
+/// than a strict minority down at once, counting members awaiting
+/// rejoin), heal a partition, and issue a gated call; every third round
+/// the group supervises. Returns the failovers it performed.
+fn run_group_schedule(seed: u64, n: usize, quorum: u64, rounds: u64) -> u64 {
+    let members: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
+    let minority = (n - 1) / 2;
+    let model = counter_model(&members, quorum);
+    let mut primary = GenericBroker::from_model(&model, hub(seed)).expect("model valid");
+    primary.enable_journal(8);
+    let policy = RestartPolicy {
+        max_restarts: 10_000,
+        window: SimDuration::from_millis(1),
+        stall_after: SimDuration::from_millis(1_000_000),
+    };
+    let count = |s: &mddsm_broker::StateManager| s.int("count").unwrap_or(0) as u64;
+    let mut g = ReplicaGroup::new(
+        &model,
+        "n0",
+        primary,
+        &[],
+        policy,
+        move |salt| hub(seed ^ salt),
+        count,
+    )
+    .expect("group builds");
+    let net = Network::new(Link::default(), seed ^ 0x9a);
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut cut: Vec<String> = Vec::new();
+
+    for round in 0..rounds {
+        let t = g.now();
+        let down: Vec<&String> = members
+            .iter()
+            .filter(|m| {
+                cut.contains(m)
+                    || g.supervisor().awaiting_rejoin(m)
+                    || g.supervisor().state().int(&format!("crashed_{m}")) == Some(1)
+            })
+            .collect();
+        let up: Vec<String> = members
+            .iter()
+            .filter(|m| !down.contains(m))
+            .cloned()
+            .collect();
+        let room = down.len() < minority;
+        let victim = up[rng.range(0, up.len() as u64) as usize].clone();
+        if room && rng.chance(0.12) {
+            g.faults().crash_component(&victim);
+        } else if room && rng.chance(0.12) {
+            net.partition_node(&victim);
+            cut.push(victim);
+        } else if !cut.is_empty() && rng.chance(0.25) {
+            let healed = cut.remove(rng.range(0, cut.len() as u64) as usize);
+            net.heal_node(&healed);
+        }
+        g.apply_faults(t, &net).expect("faults apply");
+        g.observe(t, &net);
+
+        if round % 3 == 0 {
+            let commit = g.replicator().commit_lsn();
+            let committed = journal::prefix_through_lsn(
+                g.primary().journal_bytes().expect("journaling on"),
+                commit,
+            )
+            .expect("commit lsn is inside the primary's journal")
+            .to_vec();
+            g.supervise(t, &net)
+                .expect("the group carries out its decisions");
+            let now_primary = g.primary().journal_bytes().expect("journaling on");
+            assert!(
+                now_primary.starts_with(&committed),
+                "seed {seed} n {n} round {round}: the slice committed at lsn {commit} \
+                 ({} bytes) is not a byte-prefix of primary {}'s journal ({} bytes)",
+                committed.len(),
+                g.primary_node(),
+                now_primary.len()
+            );
+            let epochs: Vec<u64> = g
+                .supervisor()
+                .promotions()
+                .iter()
+                .map(|(e, _)| *e)
+                .collect();
+            assert!(
+                epochs.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed} round {round}: two promotions share an epoch: {epochs:?}"
+            );
+        }
+
+        if !g.primary_down() && g.drain(t, 3, &net).expect("shipping healthy") {
+            let nn = round.to_string();
+            let r = g
+                .primary_mut()
+                .call("bump", &args(&[("n", &nn)]))
+                .expect("serves");
+            if g.drain(g.now(), 3, &net).expect("shipping healthy") {
+                g.commit(&r.action);
+            }
+        }
+        g.advance_clock(SimDuration::from_millis(20));
+    }
+    let r = g.report().expect("the journal audits");
+    assert!(
+        r.one_primary_per_epoch,
+        "seed {seed}: the online property tripped"
+    );
+    assert_eq!(
+        r.committed_lost, 0,
+        "seed {seed}: a committed update was lost"
+    );
+    assert_eq!(
+        r.divergent_commits, 0,
+        "seed {seed}: the committed trace diverged"
+    );
+    assert!(r.replay_consistent, "seed {seed}");
+    assert!(r.committed > 0, "seed {seed}: nothing was ever committed");
+    r.failovers
+}
+
+/// Seeded crash/partition schedules over 3- and 5-node groups: the
+/// committed slice survives every failover the group carries out.
+#[test]
+fn a_replica_group_keeps_the_committed_prefix_across_its_own_failovers() {
+    let mut failovers = 0;
+    for seed in 0..8u64 {
+        failovers += run_group_schedule(0x6_3000 + seed, 3, 2, 150);
+        failovers += run_group_schedule(0x6_5000 + seed, 5, 3, 150);
+    }
+    assert!(failovers > 0, "the schedules never failed a primary over");
 }
 
 /// The pinned slice itself is stable: slicing the growing journal at a

@@ -1068,6 +1068,32 @@ pub fn truncate_newest_snapshot(bytes: &[u8]) -> Vec<u8> {
     out
 }
 
+/// One storage fault on a journal's bytes, as a campaign delivers it
+/// through [`ComponentTarget`]'s storage methods.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StorageFault {
+    /// [`tear_tail`] keeping this many bytes of the final record.
+    Torn(u64),
+    /// [`flip_bit`] at this offset.
+    Flip(u64),
+    /// [`drop_tail_records`] of this many records.
+    Drop(u64),
+    /// [`truncate_newest_snapshot`].
+    TruncateSnapshot,
+}
+
+impl StorageFault {
+    /// The damaged copy of `bytes`.
+    pub fn apply(self, bytes: &[u8]) -> Vec<u8> {
+        match self {
+            StorageFault::Torn(keep) => tear_tail(bytes, keep),
+            StorageFault::Flip(offset) => flip_bit(bytes, offset),
+            StorageFault::Drop(records) => drop_tail_records(bytes, records),
+            StorageFault::TruncateSnapshot => truncate_newest_snapshot(bytes),
+        }
+    }
+}
+
 /// Shape of a randomized *storage* campaign (the E13 workload): a
 /// component's durable journal is hit by torn writes, bit flips, dropped
 /// unsynced tails, and truncated snapshots at seeded instants. There are
